@@ -8,48 +8,46 @@ that work to *decode time*: each :class:`~repro.isa.instructions.
 Instruction` of a :class:`~repro.isa.program.Program` is compiled once
 into a specialized Python function with its operands, immediate, ALU
 expression and resolved branch target baked in as literals.  The
-executors then dispatch through a flat per-pc handler table.
+executors' fast loops then dispatch through a flat per-pc handler
+table.
+
+Every handler is a *tracing* handler: it also appends ``(tid, vaddr,
+size)`` tuples to a caller-supplied list with exactly the semantics of
+:func:`repro.engine.interpreter.execute`'s ``addrs_out`` (loads/stores/
+atomics record their effective address, calls the pushed return-address
+slot, rets the popped one).  That is what lets the fast loops keep the
+pre-decoded dispatch when a :class:`~repro.engine.events.StepSink` is
+attached; without one they hand the handlers a scratch list and skip
+the event emission.
 
 On top of the handler table, straight-line *superblocks* are fused: a
 maximal run of branch-free ALU/MUL instructions inside one basic block
 (found with the existing :mod:`repro.isa.cfg` analysis) becomes a single
 composite function that retires the whole run for one thread without
-re-entering the dispatch loop.  Fused blocks are only usable on the
-sink-free fast path - they are register-only, so they produce no memory
-events, no branch outcomes and no per-step records a sink could need -
-and every per-event counter (``steps``, ``scalar_instructions``,
-``retired``) is accounted exactly as if the run had been stepped
-one instruction at a time.
+re-entering the dispatch loop.  Fused blocks are register-only, so they
+record no addresses and no branch outcomes; a sink sees one empty-addrs
+event per fused pc, and every per-event counter (``steps``,
+``scalar_instructions``, ``retired``) is accounted exactly as if the run
+had been stepped one instruction at a time.
 
 The correctness contract is *bit-identical equivalence* with the
 reference interpreter: for any program and any batch, the fast path must
-leave registers, memory, call stacks, syscall traces and every
-``LockstepResult`` counter exactly equal to
+leave registers, memory, call stacks, syscall traces, every
+``LockstepResult`` counter and the emitted event stream exactly equal to
 :func:`repro.engine.interpreter.execute`-based execution.  This is
 enforced by ``tests/test_differential_fastpath.py`` over all 15
 workloads and all execution policies.
 
 Handler calling convention::
 
-    handler(thread, mem) -> Optional[bool]        # True/False for branches
-    trace_handler(thread, mem, addrs) -> ...      # also records (tid, addr, size)
-    fused(thread)                                 # register-only superblock
+    trace_handler(thread, mem, addrs) -> Optional[bool]  # True/False for branches
+    fused(thread)                                        # register-only superblock
 
-``trace_handlers`` mirror the plain handlers but additionally append
-``(tid, vaddr, size)`` tuples to a caller-supplied list with exactly the
-semantics of :func:`repro.engine.interpreter.execute`'s ``addrs_out``
-(loads/stores/atomics record their effective address, calls the pushed
-return-address slot, rets the popped one).  They are what lets the
-executors keep the pre-decoded fast path when a :class:`~repro.engine.
-events.StepSink` is attached.
-
-Since the vectorized structure-of-arrays engine landed
-(:mod:`repro.engine.vector` / :mod:`repro.engine.vcodegen`), this
-per-thread fast path is no longer the default batch execution engine:
-batch executors dispatch to the vector engine unless ``REPRO_VECTOR=0``
-or a sink is attached.  It remains load-bearing three ways - as the
-``solo`` policy's engine, as the sink-attached engine, and as the
-scalar differential witness the vector engine is required to match
+Batch executors with no sink dispatch to the vectorized structure-of-
+arrays engine (:mod:`repro.engine.vector` / :mod:`repro.engine.
+vcodegen`) unless ``REPRO_VECTOR=0``.  The tables here serve two roles:
+the engine of the ``solo`` policy and of every sink-attached run, and
+the scalar differential witness the vector engine is required to match
 bit-for-bit (``tests/test_vector_engine.py``).  The ``RK_*`` re-key
 codes defined here are shared vocabulary with the vector engine's
 compiled dispatch tables.
@@ -114,19 +112,11 @@ class DecodedProgram:
     interior pc of a run, so a group that enters mid-run still fuses
     the remainder).
 
-    ``solo_blocks[pc]`` is ``None`` or ``(steps, block_fn)`` fusing an
-    entire basic block - memory ops and terminator included - into one
-    ``block_fn(thread, mem)`` call.  Only valid for single-thread
-    execution: fusing memory ops across a *batch* would reorder the
-    per-step thread interleaving the reference engine defines.
-
     ``rekey[pc]`` is ``(RK_* code, branch/jump/call target or 0)``.
     """
 
-    handlers: Tuple
     trace_handlers: Tuple
     superblocks: Tuple
-    solo_blocks: Tuple
     rekey: Tuple
     is_branch: Tuple[bool, ...]
     is_atomic: Tuple[bool, ...]
@@ -166,19 +156,15 @@ def _alu_expr(inst: Instruction) -> str:
     raise ValueError(f"unknown ALU/MUL mnemonic: {op!r}")
 
 
-def _handler_source(pc: int, inst: Instruction, target: Optional[int],
-                    trace: bool = False) -> List[str]:
-    """Source lines of the specialized handler for the op at ``pc``.
-
-    With ``trace=True`` the handler takes a third ``addrs`` argument and
-    appends ``(tid, addr, size)`` tuples exactly where the reference
-    :func:`repro.engine.interpreter.execute` appends to ``addrs_out``.
+def _handler_source(pc: int, inst: Instruction,
+                    target: Optional[int]) -> List[str]:
+    """Source lines of the specialized tracing handler for the op at
+    ``pc``: it appends ``(tid, addr, size)`` tuples to ``addrs`` exactly
+    where the reference :func:`repro.engine.interpreter.execute` appends
+    to ``addrs_out``.
     """
     cls = inst.cls
-    if trace:
-        out = [f"def _t{pc}(t, mem, addrs):"]
-    else:
-        out = [f"def _h{pc}(t, mem):"]
+    out = [f"def _t{pc}(t, mem, addrs):"]
 
     if cls is OpClass.ALU or cls is OpClass.MUL:
         if inst.dst:  # r0 writes are dropped (and the ALU not evaluated)
@@ -188,37 +174,25 @@ def _handler_source(pc: int, inst: Instruction, target: Optional[int],
         return out
 
     if cls is OpClass.LOAD:
-        if trace:
-            out += [
-                "    regs = t.regs",
-                f"    addr = regs[{inst.srcs[0]}] + ({inst.imm})",
-                f"    addrs.append((t.tid, addr, {inst.size}))",
-            ]
-            if inst.dst:
-                out.append(f"    regs[{inst.dst}] = mem.read(addr)")
-        elif inst.dst:
-            out.append("    regs = t.regs")
-            out.append(
-                f"    regs[{inst.dst}] = "
-                f"mem.read(regs[{inst.srcs[0]}] + ({inst.imm}))"
-            )
+        out += [
+            "    regs = t.regs",
+            f"    addr = regs[{inst.srcs[0]}] + ({inst.imm})",
+            f"    addrs.append((t.tid, addr, {inst.size}))",
+        ]
+        if inst.dst:
+            out.append(f"    regs[{inst.dst}] = mem.read(addr)")
         out += ["    t.retired += 1", "    t.pc += 1"]
         return out
 
     if cls is OpClass.STORE:
-        out.append("    regs = t.regs")
-        if trace:
-            out += [
-                f"    addr = regs[{inst.srcs[0]}] + ({inst.imm})",
-                f"    addrs.append((t.tid, addr, {inst.size}))",
-                f"    mem.write(addr, regs[{inst.srcs[1]}])",
-            ]
-        else:
-            out.append(
-                f"    mem.write(regs[{inst.srcs[0]}] + ({inst.imm}), "
-                f"regs[{inst.srcs[1]}])"
-            )
-        out += ["    t.retired += 1", "    t.pc += 1"]
+        out += [
+            "    regs = t.regs",
+            f"    addr = regs[{inst.srcs[0]}] + ({inst.imm})",
+            f"    addrs.append((t.tid, addr, {inst.size}))",
+            f"    mem.write(addr, regs[{inst.srcs[1]}])",
+            "    t.retired += 1",
+            "    t.pc += 1",
+        ]
         return out
 
     if cls is OpClass.BRANCH:
@@ -248,20 +222,18 @@ def _handler_source(pc: int, inst: Instruction, target: Optional[int],
             f"    sp = regs[{SP}] - ({frame})",
             f"    regs[{SP}] = sp",
             "    mem.write(sp, ra)",
+            # execute() records the slot the return address hit
+            "    addrs.append((t.tid, sp, 8))",
+            f"    t.pc = {target}",
         ]
-        if trace:  # execute() records the slot the return address hit
-            out.append("    addrs.append((t.tid, sp, 8))")
-        out.append(f"    t.pc = {target}")
         return out
 
     if cls is OpClass.RET:
         out += [
             "    t.retired += 1",
             "    ret_pc, frame = t.call_stack.pop()",
-        ]
-        if trace:  # pre-increment SP: where the return address sits
-            out.append(f"    addrs.append((t.tid, t.regs[{SP}], 8))")
-        out += [
+            # pre-increment SP: where the return address sits
+            f"    addrs.append((t.tid, t.regs[{SP}], 8))",
             f"    t.regs[{SP}] += frame",
             "    t.pc = ret_pc",
         ]
@@ -274,10 +246,7 @@ def _handler_source(pc: int, inst: Instruction, target: Optional[int],
             "    t.retired += 1",
             "    regs = t.regs",
             f"    addr = regs[{s0}] + ({inst.imm})",
-        ]
-        if trace:
-            out.append(f"    addrs.append((t.tid, addr, {inst.size}))")
-        out += [
+            f"    addrs.append((t.tid, addr, {inst.size}))",
             "    old = mem.read(addr)",
             f"    mem.write(addr, {new})",
         ]
@@ -314,139 +283,6 @@ def _fused_source(entry: int, insts: List[Instruction], k: int) -> List[str]:
         out.append("    regs = t.regs")
         out += body
     out += [f"    t.retired += {k}", f"    t.pc += {k}"]
-    return out
-
-
-def _inline_body(pc: int, inst: Instruction,
-                 target: Optional[int]) -> List[str]:
-    """Body lines (no retired/pc bookkeeping) for one instruction of a
-    whole-block solo fusion.  Assumes ``regs = t.regs`` is in scope and
-    that execution is single-threaded, so memory ops stay in program
-    order by construction."""
-    cls = inst.cls
-    if cls is OpClass.ALU or cls is OpClass.MUL:
-        if inst.dst:
-            return [f"    regs[{inst.dst}] = {_alu_expr(inst)}"]
-        return []
-    if cls is OpClass.LOAD:
-        if inst.dst:
-            return [
-                f"    regs[{inst.dst}] = "
-                f"mem.read(regs[{inst.srcs[0]}] + ({inst.imm}))"
-            ]
-        return []
-    if cls is OpClass.STORE:
-        return [
-            f"    mem.write(regs[{inst.srcs[0]}] + ({inst.imm}), "
-            f"regs[{inst.srcs[1]}])"
-        ]
-    if cls is OpClass.ATOMIC:
-        s0, s1 = inst.srcs[0], inst.srcs[1]
-        new = f"old + regs[{s1}]" if inst.op == "amoadd" else f"regs[{s1}]"
-        out = [
-            f"    addr = regs[{s0}] + ({inst.imm})",
-            "    old = mem.read(addr)",
-            f"    mem.write(addr, {new})",
-        ]
-        if inst.dst:
-            out.append(f"    regs[{inst.dst}] = old")
-        return out
-    if cls is OpClass.SYSCALL:
-        # the trace records the *instruction's* pc, baked as a literal
-        return [
-            f"    t.syscall_trace.append(({pc}, {inst.syscall.value!r}))"
-        ]
-    if cls in (OpClass.FENCE, OpClass.NOP, OpClass.SIMD):
-        return []
-    raise ValueError(f"not inlineable mid-block: {inst.op!r}")
-
-
-#: terminators that end a solo chain (a jump or fallthrough threads
-#: straight into the next block instead)
-_CHAIN_STOPS = (OpClass.BRANCH, OpClass.CALL, OpClass.RET, OpClass.HALT)
-
-#: instruction budget per chained solo handler (bounds code bloat from
-#: shared suffix blocks being duplicated into several chains)
-_CHAIN_CAP = 96
-
-
-def _solo_chain(start_block, block_at, insts,
-                targets) -> Tuple[List, Optional[int]]:
-    """Blocks reachable from ``start_block`` by jump/fallthrough threading.
-
-    Returns ``(segments, cont_pc)``: the chain's basic blocks in
-    execution order and, when the chain was cut short (cycle or budget)
-    rather than ended by a branch/call/ret/halt terminator, the pc the
-    handler must continue at.
-    """
-    segments = []
-    seen = set()
-    total = 0
-    cur = start_block
-    while True:
-        seen.add(cur.start)
-        segments.append(cur)
-        total += cur.end - cur.start + 1
-        last = insts[cur.end]
-        if last.cls in _CHAIN_STOPS:
-            return segments, None
-        nxt = targets[cur.end] if last.cls is OpClass.JUMP else cur.end + 1
-        if nxt in seen or nxt not in block_at or total >= _CHAIN_CAP:
-            return segments, nxt
-        cur = block_at[nxt]
-
-
-def _chain_source(segments, cont_pc: Optional[int],
-                  insts, targets) -> List[str]:
-    """Source of the fused solo handler ``_b{entry}(t, mem)``.
-
-    Executes every instruction of every segment - memory ops, syscalls
-    and mid-chain jumps included (a jump's only effect is the pc, which
-    threading resolves statically) - then performs the final terminator
-    or parks the thread at ``cont_pc``.  Single-thread execution keeps
-    all of it in program order, so state is bit-identical to stepping.
-    """
-    entry = segments[0].start
-    k = sum(b.end - b.start + 1 for b in segments)
-    final = segments[-1]
-    last = insts[final.end]
-    cls = last.cls
-    ends_chain = cont_pc is None
-
-    out = [f"def _b{entry}(t, mem):", "    regs = t.regs"]
-    for seg in segments:
-        stop = seg.end if (seg is final and ends_chain) else seg.end + 1
-        for pc in range(seg.start, stop):
-            if insts[pc].cls is not OpClass.JUMP:  # threaded away
-                out += _inline_body(pc, insts[pc], targets[pc])
-    out.append(f"    t.retired += {k}")
-
-    if not ends_chain:
-        out.append(f"    t.pc = {cont_pc}")
-        return out
-    target = targets[final.end]
-    if cls is OpClass.BRANCH:
-        sym = _CMP_OPS[last.op]
-        out.append(
-            f"    t.pc = {target} if regs[{last.srcs[0]}] {sym} "
-            f"regs[{last.srcs[1]}] else {final.end + 1}"
-        )
-    elif cls is OpClass.CALL:
-        out += [
-            f"    t.call_stack.append(({final.end + 1}, {last.imm}))",
-            f"    sp = regs[{SP}] - ({last.imm})",
-            f"    regs[{SP}] = sp",
-            f"    mem.write(sp, {final.end + 1})",
-            f"    t.pc = {target}",
-        ]
-    elif cls is OpClass.RET:
-        out += [
-            "    ret_pc, frame = t.call_stack.pop()",
-            f"    regs[{SP}] += frame",
-            "    t.pc = ret_pc",
-        ]
-    else:  # HALT: pc stays at the halt instruction
-        out += [f"    t.pc = {final.end}", "    t.halted = True"]
     return out
 
 
@@ -502,7 +338,6 @@ def compile_program(program) -> DecodedProgram:
     lines: List[str] = []
     for pc in range(n):
         lines += _handler_source(pc, insts[pc], targets[pc])
-        lines += _handler_source(pc, insts[pc], targets[pc], trace=True)
 
     fused_meta: List[Tuple[int, int]] = []
     for first, last in _alu_runs(program, cfg):
@@ -510,15 +345,6 @@ def compile_program(program) -> DecodedProgram:
             k = last - p + 1
             lines += _fused_source(p, insts[p:last + 1], k)
             fused_meta.append((p, k))
-
-    block_at = {b.start: b for b in cfg.blocks}
-    block_meta: List[Tuple[int, int]] = []
-    for block in cfg.blocks:
-        segments, cont_pc = _solo_chain(block, block_at, insts, targets)
-        k = sum(b.end - b.start + 1 for b in segments)
-        if k >= 2:  # a 1-op chain is just its handler
-            lines += _chain_source(segments, cont_pc, insts, targets)
-            block_meta.append((block.start, k))
 
     namespace = {
         "_hash_mix": _hash_mix,
@@ -529,19 +355,13 @@ def compile_program(program) -> DecodedProgram:
     code = compile("\n".join(lines), f"<decoded:{program.name}>", "exec")
     exec(code, namespace)
 
-    handlers = tuple(namespace[f"_h{pc}"] for pc in range(n))
     trace_handlers = tuple(namespace[f"_t{pc}"] for pc in range(n))
     superblocks: List[Optional[Tuple[int, object]]] = [None] * n
     for p, k in fused_meta:
         superblocks[p] = (k, namespace[f"_f{p}"])
-    solo_blocks: List[Optional[Tuple[int, object]]] = [None] * n
-    for p, k in block_meta:
-        solo_blocks[p] = (k, namespace[f"_b{p}"])
     return DecodedProgram(
-        handlers=handlers,
         trace_handlers=trace_handlers,
         superblocks=tuple(superblocks),
-        solo_blocks=tuple(solo_blocks),
         rekey=tuple(
             _rekey_entry(insts[pc], targets[pc]) for pc in range(n)
         ),

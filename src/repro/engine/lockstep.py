@@ -16,23 +16,27 @@ Two reconvergence policies from the paper are implemented:
   group that keeps re-executing atomics without global progress,
   mirroring the paper's k-cycle / b-atomics multipath rule.
 
-Every executor has two execution engines:
+Every executor has one reference loop and one fast loop:
 
-* the **reference engine** — the original, obviously-correct loops
+* the **reference engine** - the original, obviously-correct loops
   built on :func:`repro.engine.interpreter.execute`.  Used when
-  ``fastpath=False`` is requested; it is the oracle the fast paths are
-  differentially tested against.
+  ``fastpath=False`` is requested; it is the oracle the fast loop and
+  the vector engine are differentially tested against.
 
-* the **fast-path engine** — pre-decoded handler dispatch plus
-  superblock fusion (:mod:`repro.engine.decode`).  When a sink is
-  attached the executors switch to the pre-decoded *tracing* handlers,
-  which record ``(tid, addr, size)`` tuples inline, so per-step events
-  are produced without falling back to slow dispatch.  Both variants
-  are required to leave architectural state, every
+* the **fast loop** (``_run_fast``) - dispatch through the pre-decoded
+  *tracing* handlers plus register-only superblock fusion
+  (:mod:`repro.engine.decode`).  The handlers record ``(tid, addr,
+  size)`` tuples inline, so with a sink attached per-step events are
+  produced without falling back to slow dispatch; without a sink the
+  loop skips the emission.  It must leave architectural state, every
   :class:`LockstepResult` counter *and* the emitted event stream
   bit-identical to the reference engine;
   ``tests/test_differential_fastpath.py`` and the fuzz oracle enforce
   this over all 15 workloads and all policies, sink present or not.
+
+A batch run with no sink goes to the vectorized engine
+(:mod:`repro.engine.vector`) unless ``REPRO_VECTOR=0``; the solo
+executor and every sink-attached run use the fast loop.
 """
 
 from __future__ import annotations
@@ -140,50 +144,22 @@ class SoloExecutor:
     def run(self, thread: ThreadState, mem: MemoryImage) -> int:
         san = self._san
         retired0 = thread.retired if san else 0
-        if not self.fastpath:
-            steps = self._run_reference(thread, mem)
-        elif self.sink is None:
+        if self.fastpath:
             steps = self._run_fast(thread, mem)
         else:
-            steps = self._run_fast_sink(thread, mem)
+            steps = self._run_reference(thread, mem)
         if san:
             _san_result(self.program.name, (thread,), retired0, steps)
         return steps
 
     def _run_fast(self, thread: ThreadState, mem: MemoryImage) -> int:
-        prog = self.program
-        decoded = prog.decoded
-        handlers = decoded.handlers
-        blocks = decoded.solo_blocks
-        max_steps = self.max_steps
-        steps = 0
-        # single-thread execution keeps memory ops in program order no
-        # matter how they are batched, so whole basic blocks (terminator
-        # included) collapse into one call each
-        while not thread.halted:
-            b = blocks[thread.pc]
-            if b is not None and steps + b[0] <= max_steps:
-                b[1](thread, mem)
-                steps += b[0]
-                continue
-            if steps >= max_steps:
-                raise ExecutionError(
-                    f"{prog.name}: thread {thread.tid} exceeded "
-                    f"{max_steps} steps"
-                )
-            handlers[thread.pc](thread, mem)
-            steps += 1
-        return steps
+        """Pre-decoded dispatch through the tracing handler table plus
+        the register-only superblocks.
 
-    def _run_fast_sink(self, thread: ThreadState, mem: MemoryImage) -> int:
-        """Pre-decoded dispatch with per-step event emission.
-
-        Uses the tracing handler table for address recording and the
-        register-only superblocks (which produce one empty-addrs event
-        per fused pc).  Whole-block solo fusion is not usable here: it
-        collapses memory ops whose per-step events a sink must see.
-        The ``addrs`` list is reused across steps - sinks must copy it
-        (``ListSink`` already tuples it) before returning.
+        With a sink attached every step emits its event (a superblock
+        one empty-addrs event per fused pc); without one the emission
+        is skipped.  The ``addrs`` list is reused across steps - sinks
+        must copy it (``ListSink`` already tuples it) before returning.
         """
         prog = self.program
         decoded = prog.decoded
@@ -191,7 +167,7 @@ class SoloExecutor:
         fused = decoded.superblocks
         insts = prog.instructions
         sink = self.sink
-        on_step = sink.on_step
+        on_step = None if sink is None else sink.on_step
         tid = thread.tid
         max_steps = self.max_steps
         steps = 0
@@ -202,9 +178,10 @@ class SoloExecutor:
             if f is not None and steps + f[0] <= max_steps:
                 k = f[0]
                 f[1](thread)
-                del addrs[:]
-                for p in range(pc, pc + k):
-                    on_step(p, insts[p], 1, addrs, None)
+                if on_step is not None:
+                    del addrs[:]
+                    for p in range(pc, pc + k):
+                        on_step(p, insts[p], 1, addrs, None)
                 steps += k
                 continue
             if steps >= max_steps:
@@ -214,12 +191,14 @@ class SoloExecutor:
                 )
             del addrs[:]
             taken = trace_handlers[pc](thread, mem, addrs)
-            if taken is None:
-                on_step(pc, insts[pc], 1, addrs, None)
-            else:
-                on_step(pc, insts[pc], 1, addrs, ((tid, taken),))
+            if on_step is not None:
+                if taken is None:
+                    on_step(pc, insts[pc], 1, addrs, None)
+                else:
+                    on_step(pc, insts[pc], 1, addrs, ((tid, taken),))
             steps += 1
-        sink.on_done()
+        if sink is not None:
+            sink.on_done()
         return steps
 
     def _run_reference(self, thread: ThreadState, mem: MemoryImage) -> int:
@@ -264,7 +243,7 @@ class _BaseLockstep:
         target = self.program.targets[pc]
         sink = self.sink
         if sink is None:
-            # no-sink fast path: no address list, no outcome tuples
+            # no sink: no address list, no outcome tuples
             if inst.cls is OpClass.BRANCH:
                 outs = [execute(t, inst, target, mem, None) for t in group]
                 first = outs[0]
@@ -304,11 +283,9 @@ class IpdomExecutor(_BaseLockstep):
     def run(self, threads: Sequence[ThreadState], mem: MemoryImage) -> LockstepResult:
         if not self.fastpath:
             return self._run_reference(threads, mem)
-        if self.sink is None:
-            if vector_enabled():
-                return _vector().run_ipdom(self, threads, mem)
-            return self._run_fast(threads, mem)
-        return self._run_fast_sink(threads, mem)
+        if self.sink is None and vector_enabled():
+            return _vector().run_ipdom(self, threads, mem)
+        return self._run_fast(threads, mem)
 
     def _sink_widths(self, n_threads: int) -> Optional[List[int]]:
         """Per-pc event ``active`` width override, or ``None`` to report
@@ -317,111 +294,13 @@ class IpdomExecutor(_BaseLockstep):
 
     def _run_fast(self, threads: Sequence[ThreadState],
                   mem: MemoryImage) -> LockstepResult:
-        prog = self.program
-        decoded = prog.decoded
-        handlers = decoded.handlers
-        fused = decoded.superblocks
-        is_branch = decoded.is_branch
-        reconv_override = self.reconv_override
-        cfg = self.cfg
-        max_steps = self.max_steps
-        end = len(prog)
-        san = sanitizer_enabled()
-        alive = {t.tid for t in threads} if san else None
-        retired0 = sum(t.retired for t in threads) if san else 0
-        # stack entries: (threads_in_region, reconvergence_pc)
-        stack: List[Tuple[List[ThreadState], int]] = [(list(threads), end)]
-        steps = 0
-        scalar = 0
-        branches = 0
-        divergent = 0
-        truncated = False
+        """Pre-decoded IPDOM loop over the tracing handler table.
 
-        while stack:
-            region, reconv = stack[-1]
-            running = [t for t in region if not t.halted and t.pc != reconv]
-            if not running:
-                stack.pop()
-                continue
-            if steps >= max_steps:
-                truncated = True
-                break
-            pc = running[0].pc
-            for t in running:
-                if t.pc != pc:
-                    raise ExecutionError(
-                        f"{prog.name}: IPDOM invariant broken at pc {pc} "
-                        f"vs {t.pc} (irreducible control flow?)"
-                    )
-            if san:
-                _san_group(prog.name, running, alive, pc)
-            f = fused[pc]
-            if f is not None:
-                k = f[0]
-                # a fused run may end exactly at the reconvergence pc
-                # (the re-filter above catches the threads there) but
-                # must never cross it mid-run (possible only with
-                # speculative reconv overrides; CFG reconv pcs are
-                # block leaders, which no run interior contains)
-                if steps + k <= max_steps and not (pc < reconv < pc + k):
-                    fn = f[1]
-                    for t in running:
-                        fn(t)
-                    steps += k
-                    scalar += k * len(running)
-                    continue
-            h = handlers[pc]
-            n = len(running)
-            if is_branch[pc]:
-                outs = [h(t, mem) for t in running]
-                steps += 1
-                scalar += n
-                branches += 1
-                first = outs[0]
-                diverged = False
-                for o in outs:
-                    if o != first:
-                        diverged = True
-                        break
-                if diverged:
-                    divergent += 1
-                    rpc = reconv_override.get(pc)
-                    if rpc is None:
-                        rpc = cfg.reconvergence_pc(pc)
-                    taken_pc = prog.target_of(pc)
-                    taken = [t for t in running if t.pc == taken_pc]
-                    not_taken = [t for t in running if t.pc != taken_pc]
-                    # execute the lower-pc side first (MinPC-style order)
-                    first_side, second = (taken, not_taken)
-                    if not_taken and taken and not_taken[0].pc < taken_pc:
-                        first_side, second = not_taken, taken
-                    stack.append((second, rpc))
-                    stack.append((first_side, rpc))
-            else:
-                for t in running:
-                    h(t, mem)
-                steps += 1
-                scalar += n
-
-        if san:
-            _san_result(prog.name, threads, retired0, scalar)
-        return LockstepResult(
-            batch_size=len(threads),
-            steps=steps,
-            scalar_instructions=scalar,
-            divergent_branches=divergent,
-            branches=branches,
-            retired_per_thread=[t.retired for t in threads],
-            truncated=truncated,
-        )
-
-    def _run_fast_sink(self, threads: Sequence[ThreadState],
-                       mem: MemoryImage) -> LockstepResult:
-        """`_run_fast` with per-step event emission via the tracing
-        handler table.  Must produce the exact event stream of
+        With a sink attached it must produce the exact event stream of
         `_run_reference` (group order gives address order; superblocks
-        expand to one empty-addrs event per fused pc).  The ``addrs``
-        list is reused across steps - sinks must copy what they keep.
+        expand to one empty-addrs event per fused pc); without one the
+        emission is skipped.  The ``addrs`` list is reused across steps
+        - sinks must copy what they keep.
         """
         prog = self.program
         decoded = prog.decoded
@@ -434,11 +313,12 @@ class IpdomExecutor(_BaseLockstep):
         max_steps = self.max_steps
         end = len(prog)
         sink = self.sink
-        on_step = sink.on_step
-        widths = self._sink_widths(len(threads))
+        on_step = None if sink is None else sink.on_step
+        widths = None if sink is None else self._sink_widths(len(threads))
         san = sanitizer_enabled()
         alive = {t.tid for t in threads} if san else None
         retired0 = sum(t.retired for t in threads) if san else 0
+        # stack entries: (threads_in_region, reconvergence_pc)
         stack: List[Tuple[List[ThreadState], int]] = [(list(threads), end)]
         steps = 0
         scalar = 0
@@ -469,17 +349,23 @@ class IpdomExecutor(_BaseLockstep):
             f = fused[pc]
             if f is not None:
                 k = f[0]
+                # a fused run may end exactly at the reconvergence pc
+                # (the re-filter above catches the threads there) but
+                # must never cross it mid-run (possible only with
+                # speculative reconv overrides; CFG reconv pcs are
+                # block leaders, which no run interior contains)
                 if steps + k <= max_steps and not (pc < reconv < pc + k):
                     fn = f[1]
                     for t in running:
                         fn(t)
-                    del addrs[:]
-                    if widths is None:
-                        for p in range(pc, pc + k):
-                            on_step(p, insts[p], n, addrs, None)
-                    else:
-                        for p in range(pc, pc + k):
-                            on_step(p, insts[p], widths[p], addrs, None)
+                    if on_step is not None:
+                        del addrs[:]
+                        if widths is None:
+                            for p in range(pc, pc + k):
+                                on_step(p, insts[p], n, addrs, None)
+                        else:
+                            for p in range(pc, pc + k):
+                                on_step(p, insts[p], widths[p], addrs, None)
                     steps += k
                     scalar += k * n
                     continue
@@ -487,13 +373,14 @@ class IpdomExecutor(_BaseLockstep):
             del addrs[:]
             if is_branch[pc]:
                 outs = [h(t, mem, addrs) for t in running]
-                if widths is None:
-                    outcomes = [
-                        (t.tid, o) for t, o in zip(running, outs)
-                    ]
-                    on_step(pc, insts[pc], n, addrs, outcomes)
-                else:  # predication: full-width issue, no outcomes
-                    on_step(pc, insts[pc], widths[pc], addrs, None)
+                if on_step is not None:
+                    if widths is None:
+                        outcomes = [
+                            (t.tid, o) for t, o in zip(running, outs)
+                        ]
+                        on_step(pc, insts[pc], n, addrs, outcomes)
+                    else:  # predication: full-width issue, no outcomes
+                        on_step(pc, insts[pc], widths[pc], addrs, None)
                 steps += 1
                 scalar += n
                 branches += 1
@@ -520,14 +407,16 @@ class IpdomExecutor(_BaseLockstep):
             else:
                 for t in running:
                     h(t, mem, addrs)
-                on_step(pc, insts[pc],
-                        n if widths is None else widths[pc], addrs, None)
+                if on_step is not None:
+                    on_step(pc, insts[pc],
+                            n if widths is None else widths[pc], addrs, None)
                 steps += 1
                 scalar += n
 
         if san:
             _san_result(prog.name, threads, retired0, scalar)
-        sink.on_done()
+        if sink is not None:
+            sink.on_done()
         return LockstepResult(
             batch_size=len(threads),
             steps=steps,
@@ -631,193 +520,22 @@ class MinSpPcExecutor(_BaseLockstep):
     def run(self, threads: Sequence[ThreadState], mem: MemoryImage) -> LockstepResult:
         if not self.fastpath:
             return self._run_reference(threads, mem)
-        if self.sink is None:
-            if vector_enabled():
-                return _vector().run_minsp(self, threads, mem)
-            return self._run_fast(threads, mem)
-        return self._run_fast_sink(threads, mem)
+        if self.sink is None and vector_enabled():
+            return _vector().run_minsp(self, threads, mem)
+        return self._run_fast(threads, mem)
 
     def _run_fast(self, threads: Sequence[ThreadState],
                   mem: MemoryImage) -> LockstepResult:
-        """Incremental-grouping fast loop.
+        """Incremental-grouping loop over the tracing handler table.
 
         The reference engine rebuilds the (depth, pc) group map from
         scratch every step (O(batch) per issued instruction); here only
         the threads of the executed group are re-keyed.  Group lists are
-        kept tid-sorted so per-step execution order - and therefore
-        every racy memory interleaving - matches the reference engine
-        exactly.
-        """
-        prog = self.program
-        decoded = prog.decoded
-        handlers = decoded.handlers
-        fused = decoded.superblocks
-        rekey = decoded.rekey
-        is_atomic = decoded.is_atomic
-        max_steps = self.max_steps
-        spin_k = self.spin_k
-        spin_b = self.spin_b
-        spin_t = self.spin_t
-        san = sanitizer_enabled()
-        alive = {t.tid for t in threads} if san else None
-        retired0 = sum(t.retired for t in threads) if san else 0
-
-        steps = 0
-        scalar = 0
-        branches = 0
-        divergent = 0
-        truncated = False
-
-        last_atomic_step = -(10**9)
-        boost_remaining = 0
-        last_executed: Dict[int, int] = {t.tid: 0 for t in threads}
-
-        groups: Dict[Tuple[int, int], List[ThreadState]] = {}
-        for t in threads:  # tid order -> tid-sorted group lists
-            if not t.halted:
-                groups.setdefault((-len(t.call_stack), t.pc), []).append(t)
-
-        while groups:
-            if steps >= max_steps:
-                truncated = True
-                break
-
-            if boost_remaining > 0 and len(groups) > 1:
-                boost_remaining -= 1
-                # oldest-waiter first; ties resolve to the lowest-tid
-                # group, matching the reference engine's insertion order
-                key = min(
-                    groups,
-                    key=lambda k: (
-                        min(last_executed[t.tid] for t in groups[k]),
-                        groups[k][0].tid,
-                    ),
-                )
-            else:
-                key = min(groups)  # deepest call, then lowest pc
-
-            group = groups.pop(key)
-            pc = key[1]
-            if san:
-                _san_group(prog.name, group, alive, pc, depth=-key[0])
-
-            f = fused[pc]
-            if (f is not None
-                    and steps + f[0] <= max_steps
-                    # no spin-escape check can fire during the run: the
-                    # atomics window must already be stale for its first
-                    # fused step (runs contain no atomics, so it only
-                    # gets staler)
-                    and steps + 1 - last_atomic_step > spin_b
-                    # an active boost re-ranks groups every step
-                    and (boost_remaining == 0 or not groups)):
-                k = f[0]
-                fusable = True
-                if groups:
-                    depth = key[0]
-                    hi = pc + k
-                    for d2, p2 in groups:
-                        # a same-depth group strictly inside the run
-                        # would merge with (or preempt) us mid-run
-                        if d2 == depth and pc < p2 < hi:
-                            fusable = False
-                            break
-                if fusable:
-                    fn = f[1]
-                    for t in group:
-                        fn(t)
-                    steps += k
-                    scalar += k * len(group)
-                    for t in group:
-                        last_executed[t.tid] = steps
-                    _regroup_insert(groups, (key[0], pc + k), group)
-                    continue
-
-            h = handlers[pc]
-            n = len(group)
-            rk = rekey[pc]
-            kind = rk[0]
-            outs = None
-            uniform = True
-            if kind == RK_BRANCH:
-                outs = [h(t, mem) for t in group]
-                branches += 1
-                first = outs[0]
-                for o in outs:
-                    if o != first:
-                        uniform = False
-                        divergent += 1
-                        break
-            else:
-                for t in group:
-                    h(t, mem)
-            steps += 1
-            scalar += n
-            for t in group:
-                last_executed[t.tid] = steps
-            if is_atomic[pc]:
-                last_atomic_step = steps
-
-            # Spin-lock escape (see _run_reference); the popped group
-            # counts toward the reference's len(groups) > 1 condition,
-            # so the remaining map only needs to be non-empty.  The
-            # cheap atomics-window test goes first: computing the
-            # oldest waiter is O(batch).
-            if (boost_remaining == 0 and groups
-                    and steps - last_atomic_step <= spin_b):
-                oldest = min(
-                    last_executed[t.tid] for t in threads if not t.halted
-                )
-                if steps - oldest >= spin_k:
-                    boost_remaining = spin_t
-
-            # re-key the executed group: O(1) whole-group moves for
-            # straight-line code, per-outcome partition for branches,
-            # per-thread buckets only for ret (threads of one (depth,
-            # pc) group may hold different return addresses)
-            if kind == RK_FALL:
-                _regroup_insert(groups, (key[0], pc + 1), group)
-            elif kind == RK_BRANCH:
-                if uniform:
-                    npc = rk[1] if outs[0] else pc + 1
-                    _regroup_insert(groups, (key[0], npc), group)
-                else:
-                    taken = [t for t, o in zip(group, outs) if o]
-                    fell = [t for t, o in zip(group, outs) if not o]
-                    _regroup_insert(groups, (key[0], rk[1]), taken)
-                    _regroup_insert(groups, (key[0], pc + 1), fell)
-            elif kind == RK_JUMP:
-                _regroup_insert(groups, (key[0], rk[1]), group)
-            elif kind == RK_CALL:
-                _regroup_insert(groups, (key[0] - 1, rk[1]), group)
-            elif kind == RK_RET:
-                d2 = key[0] + 1
-                buckets: Dict[int, List[ThreadState]] = {}
-                for t in group:
-                    buckets.setdefault(t.pc, []).append(t)
-                for p2, moved in buckets.items():
-                    _regroup_insert(groups, (d2, p2), moved)
-            # RK_HALT: the whole group halted and leaves the schedule
-
-        if san:
-            _san_result(prog.name, threads, retired0, scalar)
-        return LockstepResult(
-            batch_size=len(threads),
-            steps=steps,
-            scalar_instructions=scalar,
-            divergent_branches=divergent,
-            branches=branches,
-            retired_per_thread=[t.retired for t in threads],
-            truncated=truncated,
-        )
-
-    def _run_fast_sink(self, threads: Sequence[ThreadState],
-                       mem: MemoryImage) -> LockstepResult:
-        """`_run_fast` (incremental grouping) with per-step events via
-        the tracing handler table.  Group lists stay tid-sorted, so the
-        per-step execution order - and therefore the address order in
-        every emitted event - matches the reference engine exactly.
-        The ``addrs`` list is reused across steps.
+        kept tid-sorted, so per-step execution order - and therefore
+        every racy memory interleaving and the address order in every
+        emitted event - matches the reference engine exactly.  Without
+        a sink the event emission is skipped; the ``addrs`` list is
+        reused across steps.
 
         Sinks that *mutate* the batch (append threads mid-run) are
         supported: growth is detected at the top of every scheduling
@@ -838,7 +556,7 @@ class MinSpPcExecutor(_BaseLockstep):
         spin_b = self.spin_b
         spin_t = self.spin_t
         sink = self.sink
-        on_step = sink.on_step
+        on_step = None if sink is None else sink.on_step
         san = sanitizer_enabled()
         alive = {t.tid for t in threads} if san else None
         retired0 = sum(t.retired for t in threads) if san else 0
@@ -902,7 +620,12 @@ class MinSpPcExecutor(_BaseLockstep):
             f = fused[pc]
             if (f is not None
                     and steps + f[0] <= max_steps
+                    # no spin-escape check can fire during the run: the
+                    # atomics window must already be stale for its first
+                    # fused step (runs contain no atomics, so it only
+                    # gets staler)
                     and steps + 1 - last_atomic_step > spin_b
+                    # an active boost re-ranks groups every step
                     and (boost_remaining == 0 or not groups)):
                 k = f[0]
                 fusable = True
@@ -910,6 +633,8 @@ class MinSpPcExecutor(_BaseLockstep):
                     depth = key[0]
                     hi = pc + k
                     for d2, p2 in groups:
+                        # a same-depth group strictly inside the run
+                        # would merge with (or preempt) us mid-run
                         if d2 == depth and pc < p2 < hi:
                             fusable = False
                             break
@@ -917,9 +642,10 @@ class MinSpPcExecutor(_BaseLockstep):
                     fn = f[1]
                     for t in group:
                         fn(t)
-                    del addrs[:]
-                    for p in range(pc, pc + k):
-                        on_step(p, insts[p], n, addrs, None)
+                    if on_step is not None:
+                        del addrs[:]
+                        for p in range(pc, pc + k):
+                            on_step(p, insts[p], n, addrs, None)
                     steps += k
                     scalar += k * n
                     for t in group:
@@ -935,8 +661,9 @@ class MinSpPcExecutor(_BaseLockstep):
             del addrs[:]
             if kind == RK_BRANCH:
                 outs = [h(t, mem, addrs) for t in group]
-                on_step(pc, insts[pc], n, addrs,
-                        [(t.tid, o) for t, o in zip(group, outs)])
+                if on_step is not None:
+                    on_step(pc, insts[pc], n, addrs,
+                            [(t.tid, o) for t, o in zip(group, outs)])
                 branches += 1
                 first = outs[0]
                 for o in outs:
@@ -947,7 +674,8 @@ class MinSpPcExecutor(_BaseLockstep):
             else:
                 for t in group:
                     h(t, mem, addrs)
-                on_step(pc, insts[pc], n, addrs, None)
+                if on_step is not None:
+                    on_step(pc, insts[pc], n, addrs, None)
             steps += 1
             scalar += n
             for t in group:
@@ -955,7 +683,11 @@ class MinSpPcExecutor(_BaseLockstep):
             if is_atomic[pc]:
                 last_atomic_step = steps
 
-            # Spin-lock escape (see _run_fast)
+            # Spin-lock escape (see _run_reference); the popped group
+            # counts toward the reference's len(groups) > 1 condition,
+            # so the remaining map only needs to be non-empty.  The
+            # cheap atomics-window test goes first: computing the
+            # oldest waiter is O(batch).
             if (boost_remaining == 0 and groups
                     and steps - last_atomic_step <= spin_b):
                 oldest = min(
@@ -964,6 +696,10 @@ class MinSpPcExecutor(_BaseLockstep):
                 if steps - oldest >= spin_k:
                     boost_remaining = spin_t
 
+            # re-key the executed group: O(1) whole-group moves for
+            # straight-line code, per-outcome partition for branches,
+            # per-thread buckets only for ret (threads of one (depth,
+            # pc) group may hold different return addresses)
             if kind == RK_FALL:
                 _regroup_insert(groups, (key[0], pc + 1), group)
             elif kind == RK_BRANCH:
@@ -990,7 +726,8 @@ class MinSpPcExecutor(_BaseLockstep):
 
         if san:
             _san_result(prog.name, threads, retired0, scalar)
-        sink.on_done()
+        if sink is not None:
+            sink.on_done()
         return LockstepResult(
             batch_size=len(threads),
             steps=steps,

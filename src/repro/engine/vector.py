@@ -1,9 +1,11 @@
 """Vectorized lockstep execution loops over structure-of-arrays state.
 
-These are the batch-call twins of ``IpdomExecutor._run_fast`` and
-``MinSpPcExecutor._run_fast``: the same schedulers, but each scheduled
-group executes through one generated batch function per *group-step*
-(or per whole basic block) instead of one handler call per *lane*
+These are the batch-call twins of the scalar fast loops
+``IpdomExecutor._run_fast`` and ``MinSpPcExecutor._run_fast`` (which
+run a no-sink batch only under ``REPRO_VECTOR=0``): the same
+schedulers, but each scheduled group executes through one generated
+batch function per *group-step* (or per whole basic block) instead of
+one handler call per *lane*
 (:mod:`repro.engine.vcodegen`), over :class:`repro.engine.lanes.
 LaneState` arrays instead of ``ThreadState`` attributes.
 

@@ -15,6 +15,8 @@ import os
 import random
 import sys
 import zlib
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -29,6 +31,10 @@ SEED = 7
 #: process-wide worker count used when a caller does not pass ``jobs``
 #: explicitly; set from the ``--jobs`` CLI flag (or REPRO_JOBS)
 _default_jobs: Optional[int] = None
+
+#: True inside a :func:`parallel_map` pool worker (set by the pool
+#: initializer :func:`_mark_worker`)
+_in_worker = False
 
 
 def set_default_jobs(jobs: Optional[int]) -> None:
@@ -110,8 +116,15 @@ def _invoke_task(payload):
             signal.setitimer(signal.ITIMER_REAL, 0.0)
 
 
+def _mark_worker() -> None:
+    """Pool initializer: a task running in a worker takes the serial
+    path of any nested :func:`parallel_map` instead of forking a pool
+    of its own."""
+    global _in_worker
+    _in_worker = True
+
+
 def parallel_map(fn: Callable, items: Iterable, jobs: Optional[int] = None,
-                 chunksize: int = 1,
                  priority: Optional[Sequence[float]] = None) -> List:
     """``[fn(x) for x in items]``, optionally across worker processes.
 
@@ -119,28 +132,28 @@ def parallel_map(fn: Callable, items: Iterable, jobs: Optional[int] = None,
     identical output.  ``fn`` must be a module-level callable and the
     items picklable.  Falls back to the serial path when only one job
     is requested, when there is at most one item, or inside a worker
-    process (daemonic workers cannot spawn nested pools).
+    process (no nested pools).
 
     ``priority`` (one float per item, higher = submitted earlier) fixes
-    the tail-blocking unfairness of heterogeneous task costs: with
-    ``chunksize=1`` a long task submitted last runs alone at the end of
-    the sweep while every other worker idles.  Submitting
-    longest-estimated-first bounds that tail at the cost of the longest
-    single task.  Submission order never affects the *result* order
-    (results are re-gathered by item index), and the serial path
-    ignores priorities entirely so serial output stays byte-identical.
+    the tail-blocking unfairness of heterogeneous task costs: a long
+    task submitted last runs alone at the end of the sweep while every
+    other worker idles.  Submitting longest-estimated-first bounds that
+    tail at the cost of the longest single task.  Submission order
+    never affects the *result* order (results are re-gathered by item
+    index), and the serial path ignores priorities entirely so serial
+    output stays byte-identical.
 
     Hardening: a task that raises in its worker surfaces as
     :class:`WorkerTaskError` naming the failing item with the worker's
-    traceback; if the *pool itself* dies (a worker OOM-killed mid-run),
-    the unfinished items are re-executed serially rather than losing
-    the whole sweep; ``REPRO_TASK_TIMEOUT`` (seconds, unix-only) guards
-    each task against hanging.
+    traceback (pending tasks are cancelled, running ones finish); if
+    the *pool itself* dies (a worker OOM-killed mid-run), the unfinished
+    items are re-executed serially rather than losing the whole sweep;
+    ``REPRO_TASK_TIMEOUT`` (seconds, unix-only) guards each task against
+    hanging.
     """
     items = list(items)
     jobs = resolve_jobs(jobs)
-    if (jobs <= 1 or len(items) <= 1
-            or multiprocessing.current_process().daemon):
+    if jobs <= 1 or len(items) <= 1 or _in_worker:
         return [fn(x) for x in items]
     try:
         ctx = multiprocessing.get_context("fork")
@@ -154,31 +167,31 @@ def parallel_map(fn: Callable, items: Iterable, jobs: Optional[int] = None,
             raise ValueError(
                 f"priority has {len(ranks)} entries for {len(items)} items")
         order.sort(key=lambda i: (-ranks[i], i))
-    payloads = [(fn, i, items[i], timeout) for i in order]
     results: dict = {}
+    pool = ProcessPoolExecutor(min(jobs, len(items)), mp_context=ctx,
+                               initializer=_mark_worker)
     try:
-        # ``imap_unordered`` yields as workers finish, so on a pool
-        # death ``results`` holds exactly the items that completed
-        with ctx.Pool(min(jobs, len(items))) as pool:
-            for idx, ok, value in pool.imap_unordered(
-                    _invoke_task, payloads, chunksize=chunksize):
-                if not ok:
-                    item_repr, tb = value
-                    raise WorkerTaskError(
-                        f"parallel_map task {idx} ({item_repr}) failed "
-                        f"in worker:\n{tb}")
-                results[idx] = value
-    except WorkerTaskError:
-        raise
-    except Exception as exc:
-        # the pool died under us (worker killed, pipe torn down):
-        # finish the remaining items serially instead of losing the run
+        futures = [pool.submit(_invoke_task, (fn, i, items[i], timeout))
+                   for i in order]
+        for fut in as_completed(futures):
+            idx, ok, value = fut.result()
+            if not ok:
+                item_repr, tb = value
+                raise WorkerTaskError(
+                    f"parallel_map task {idx} ({item_repr}) failed "
+                    f"in worker:\n{tb}")
+            results[idx] = value
+    except BrokenProcessPool as exc:
+        # a worker died under us (killed, OOM): finish the remaining
+        # items serially instead of losing the run
         missing = [i for i in range(len(items)) if i not in results]
         print(f"parallel_map: pool died ({type(exc).__name__}: {exc}); "
               f"re-running {len(missing)} unfinished of {len(items)} "
               "items serially", file=sys.stderr)
         for i in missing:
             results[i] = fn(items[i])
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
     return [results[i] for i in range(len(items))]
 
 

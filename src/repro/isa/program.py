@@ -67,16 +67,6 @@ class Program:
             vdec = self._vdecoded = compile_vector(self)
         return vdec
 
-    @property
-    def handlers(self):
-        """Per-pc specialized handler table (see :attr:`decoded`)."""
-        return self.decoded.handlers
-
-    @property
-    def superblocks(self):
-        """Per-pc fused superblock table (see :attr:`decoded`)."""
-        return self.decoded.superblocks
-
     def __getstate__(self):
         # compiled handlers are closures and cannot cross process
         # boundaries; drop the cache and let the receiver re-decode

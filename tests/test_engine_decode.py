@@ -41,11 +41,10 @@ def test_handler_table_covers_every_pc():
     program = sample_program()
     dec = program.decoded
     n = len(program)
-    assert len(dec.handlers) == n
+    assert len(dec.trace_handlers) == n
     assert len(dec.superblocks) == n
-    assert len(dec.solo_blocks) == n
     assert len(dec.rekey) == n
-    assert all(h is not None for h in dec.handlers)
+    assert all(h is not None for h in dec.trace_handlers)
 
 
 def test_superblocks_are_branch_free_alu_runs():
@@ -91,8 +90,9 @@ def _fresh_state(tid=0):
 
 
 def test_each_handler_matches_execute():
-    """Stepping any single pc through its decoded handler produces the
-    same architectural state as the reference interpreter."""
+    """Stepping any single pc through its decoded tracing handler
+    produces the same architectural state and records the same
+    addresses as the reference interpreter."""
     program = sample_program()
     dec = program.decoded
     for pc in range(len(program)):
@@ -101,33 +101,13 @@ def test_each_handler_matches_execute():
         t1.pc = t2.pc = pc
         t1.call_stack.append((3, 16))  # so ret has something to pop
         t2.call_stack.append((3, 16))
-        out_fast = dec.handlers[pc](t1, m1)
+        addrs_fast, addrs_ref = [], []
+        out_fast = dec.trace_handlers[pc](t1, m1, addrs_fast)
         out_ref = execute(t2, program.instructions[pc],
-                          program.targets[pc], m2, None)
+                          program.targets[pc], m2, addrs_ref)
         assert t1.snapshot() == t2.snapshot(), f"pc {pc}"
-        assert bool(out_fast) == bool(out_ref), f"pc {pc}"
-        assert ({a: m1.read(a) for a in m1.written_addresses()}
-                == {a: m2.read(a) for a in m2.written_addresses()})
-
-
-def test_solo_blocks_match_single_stepping():
-    """A fused solo chain leaves the same state as stepping its pcs."""
-    program = sample_program()
-    dec = program.decoded
-    for pc, entry in enumerate(dec.solo_blocks):
-        if entry is None:
-            continue
-        k, fn = entry
-        t1, m1 = _fresh_state()
-        t2, m2 = _fresh_state()
-        t1.pc = t2.pc = pc
-        t1.call_stack.append((3, 16))  # in case the chain ends in ret
-        t2.call_stack.append((3, 16))
-        fn(t1, m1)
-        for _ in range(k):
-            execute(t2, program.instructions[t2.pc],
-                    program.targets[t2.pc], m2, None)
-        assert t1.snapshot() == t2.snapshot(), f"chain at pc {pc}"
+        assert out_fast == out_ref, f"pc {pc}"
+        assert addrs_fast == addrs_ref, f"pc {pc}"
         assert ({a: m1.read(a) for a in m1.written_addresses()}
                 == {a: m2.read(a) for a in m2.written_addresses()})
 
@@ -164,7 +144,7 @@ def test_pickled_program_rebuilds_decode_tables():
     clone = pickle.loads(pickle.dumps(program))
     rebuilt = clone.decoded
     assert rebuilt is not orig
-    assert len(rebuilt.handlers) == len(orig.handlers)
+    assert len(rebuilt.trace_handlers) == len(orig.trace_handlers)
     assert ([s is not None for s in rebuilt.superblocks]
             == [s is not None for s in orig.superblocks])
 

@@ -1,8 +1,14 @@
 """Parallel experiment driver: determinism and serial/parallel parity."""
 
 import dataclasses
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.core.run import BatchTask, run_batch_task, run_batch_tasks
 from repro.experiments.common import (
@@ -85,6 +91,44 @@ def test_task_timeout_kills_hung_worker(monkeypatch):
         parallel_map(_sleep_forever, [0, 1, 2, 3], jobs=2)
     assert "REPRO_TASK_TIMEOUT" in str(exc.value)
     assert "TimeoutError" in str(exc.value)
+
+
+#: one task SIGKILLs its own worker (never the parent, which re-runs
+#: it serially after the pool breaks)
+_KILL_PROBE = """
+import os, signal
+from repro.experiments.common import parallel_map
+
+PARENT = os.getpid()
+
+def square_or_die(x):
+    if x == 3 and os.getpid() != PARENT:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x * x
+
+print(parallel_map(square_or_die, range(8), jobs=2))
+"""
+
+
+def test_killed_worker_reruns_unfinished_items_serially():
+    """A worker killed mid-task breaks the pool; the sweep finishes
+    serially instead of hanging.  The probe runs in its own process
+    group under a timeout, so a hang fails this test rather than
+    wedging the suite."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-c", _KILL_PROBE], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("parallel_map hung after a worker was killed")
+    assert proc.returncode == 0, err
+    assert out.strip() == str([x * x for x in range(8)])
+    assert "pool died" in err
 
 
 def test_task_seed_is_deterministic_and_distinct():
