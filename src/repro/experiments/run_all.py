@@ -175,26 +175,27 @@ def collect_units(names, scale: float) -> List:
 
 def _run_named(item):
     """Worker entry point: render one named experiment; returns the
-    text plus this worker's cache stats (the parent aggregates them)."""
-    from ..timing import trace_cache
+    text plus this worker's store stats (the parent aggregates them)."""
+    from .. import store
 
     name, scale = item
-    before = trace_cache.stats()
+    before = store.stats()
     text = EXPERIMENTS[name](scale)
-    after = trace_cache.stats()
+    after = store.stats()
     return text, {k: after[k] - before.get(k, 0) for k in after}
 
 
 def _print_cache_stats(extra=None) -> None:
-    """Aggregate cache diagnostics on stderr (stdout stays pinned)."""
+    """Aggregate store diagnostics on stderr (stdout stays pinned)."""
+    from .. import store
     from ..report import stats_line
-    from ..timing import trace_cache
 
-    merged = dict(trace_cache.stats())
+    merged = dict(store.stats())
     for delta in extra or []:
         for k, v in delta.items():
             merged[k] = merged.get(k, 0) + v
-    print(stats_line("cache", merged), file=sys.stderr)
+    print(stats_line("cache", {f"store_{k}": v for k, v in merged.items()}),
+          file=sys.stderr)
 
 
 def main(argv=None) -> int:

@@ -1,9 +1,8 @@
 """Persistent content-addressed simulation result store.
 
-The in-process trace cache (:mod:`repro.timing.trace_cache`) dies with
-the process, so every ``run_all`` invocation — and every fork worker —
-re-executes work units other figures already simulated.  This module
-gives those results a content-addressed home on disk:
+Without it every ``run_all`` invocation — and every fork worker —
+would re-simulate work units other figures already simulated.  This
+module gives those results a content-addressed home on disk:
 
 * entries live under ``REPRO_CACHE_DIR`` (default ``.repro_cache/`` in
   the current directory), one file per entry, named by a SHA-256
@@ -30,13 +29,10 @@ gives those results a content-addressed home on disk:
   the differential fuzz oracle.
 
 Fingerprints hash the source text of whole packages, not import-time
-state: :func:`trace_fingerprint` covers everything that *produces* an
-executor trace (ISA, engine, memory system, workloads, batching, the
-core executors and the streaming recorder), while
-:func:`timed_fingerprint` additionally covers the whole timing package
-so timed entries miss when any timing model changes but raw traces
-survive timing-only edits (the cross-config reuse that motivates the
-cache).
+state: :func:`timed_fingerprint` covers everything that produces a
+timed ``run_chip`` result (ISA, engine, memory system, workloads,
+batching, the core executors and the whole timing package), so a timed
+entry misses as soon as any of that source changes.
 """
 
 from __future__ import annotations
@@ -129,12 +125,9 @@ def fingerprint_paths(paths: Sequence[str]) -> str:
     return h.hexdigest()
 
 
-#: modules whose source determines an executor *trace*
-TRACE_MODULES = ("repro.isa", "repro.engine", "repro.memsys", "repro.core",
-                 "repro.batching", "repro.workloads", "repro.timing.streams")
-
-#: modules whose source determines a *timed* result (trace + timing)
-TIMED_MODULES = TRACE_MODULES + ("repro.timing",)
+#: modules whose source determines a *timed* ``run_chip`` result
+TIMED_MODULES = ("repro.isa", "repro.engine", "repro.memsys", "repro.core",
+                 "repro.batching", "repro.workloads", "repro.timing")
 
 _fp_cache: Dict[Tuple[str, ...], str] = {}
 
@@ -154,10 +147,6 @@ def source_fingerprint(module_names: Tuple[str, ...]) -> str:
         fp = fingerprint_paths(paths)
         _fp_cache[module_names] = fp
     return fp
-
-
-def trace_fingerprint() -> str:
-    return source_fingerprint(TRACE_MODULES)
 
 
 def timed_fingerprint() -> str:
@@ -338,7 +327,7 @@ def get_store() -> Optional[ResultStore]:
 
 def stats() -> Dict[str, int]:
     """Aggregate hit/miss/bytes stats over every store this process has
-    touched (mirrors ``trace_cache.stats()``)."""
+    touched."""
     out = {"hits": 0, "misses": 0, "stores": 0, "bytes_read": 0,
            "bytes_written": 0, "evictions": 0, "errors": 0}
     for inst in _instances.values():

@@ -15,53 +15,48 @@ Two execution strategies produce bit-identical results:
 * ``streaming=True`` (default): executor events flow through a
   :class:`~repro.timing.streams.TimingSink` straight into an
   incremental :class:`~repro.timing.core.CoreRun`, so traces are never
-  materialized (unless the trace cache records them);
+  materialized;
 * ``streaming=False``: the original materialize-then-``CoreModel.run``
   pipeline, kept as the reference for differential checking.
 
-When the cross-config trace cache (:mod:`repro.timing.trace_cache`) is
-enabled, the streaming path replays memoized event streams instead of
-re-executing: CPU and CPU-SMT8 share solo traces, RPU and GPU share
-batch traces.  Callers supplying a bespoke ``allocator_factory``
-bypass the cache (allocator behaviour is part of the trace identity
-and arbitrary factories cannot be fingerprinted) unless they vouch for
-the factory by passing ``allocator_signature`` — the (class name,
-n_banks) tuple that keys the cache — asserting that those two values
-fully determine the factory's allocation behaviour.
-
-On top of the trace cache, whole *timed* results are persisted in the
-content-addressed store (:mod:`repro.store`): a ``run_chip`` call whose
-(service, population, config, policy, batching, allocator,
-reconvergence, warmup) tuple was ever simulated before — by any
-process, figure or fork worker with identical source — returns the
-stored :class:`ChipResult` without touching the executor or the timing
-model.  Only the default ``streaming=True`` path participates: the
-legacy materialized path is the differential *reference* and must
-always compute live.  ``REPRO_CACHE_VERIFY=1`` recomputes on every
-timed hit and raises :class:`repro.store.CacheVerifyError` on any
-field-level mismatch.
+Whole *timed* results are persisted in the content-addressed store
+(:mod:`repro.store`): a ``run_chip`` call whose (service, population,
+config, policy, batching, allocator, reconvergence, warmup) tuple was
+ever simulated before - by any process, figure or fork worker with
+identical source - returns the stored :class:`ChipResult` without
+touching the executor or the timing model.  Only the default
+``streaming=True`` path participates: the materialized path is the
+differential *reference* and must always compute live.  Callers
+supplying a bespoke ``allocator_factory`` bypass the store (allocator
+behaviour is part of a result's identity and arbitrary factories
+cannot be fingerprinted) unless they vouch for the factory by passing
+``allocator_signature`` - the (class name, n_banks) tuple that keys
+the entry - asserting that those two values fully determine the
+factory's allocation behaviour.  ``REPRO_CACHE_VERIFY=1`` recomputes
+on every timed hit and raises :class:`repro.store.CacheVerifyError`
+on any field-level mismatch.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import sanitize
 from .. import store as disk_store
 from ..batching.policies import form_batches
-from ..engine.events import MultiSink
-from ..memsys.alloc import DefaultAllocator, SimrAwareAllocator
+from ..memsys.alloc import (BaseAllocator, DefaultAllocator,
+                            SimrAwareAllocator)
 from ..workloads.base import Microservice, Request
-from . import trace_cache
 from .config import CoreConfig
-from .core import CoreModel, CoreRunResult
+from .core import CoreModel
 from .memhier import Counters
-from .streams import (ListSink, SoloRunner, TimingSink, batch_trace,
-                      replay_events, run_batch, solo_traces)
+from .streams import (SoloRunner, TimingSink, batch_trace, run_batch,
+                      solo_traces)
 
-#: executor step budgets (also part of the trace-cache key)
+#: executor step budgets (also part of the timed-result key)
 SOLO_MAX_STEPS = 2_000_000
 BATCH_MAX_STEPS = 4_000_000
 
@@ -113,13 +108,33 @@ def _allocator_for(config: CoreConfig):
     return DefaultAllocator(n_banks=max(config.l1_banks, 1))
 
 
+def fingerprint_requests(requests: Sequence[Request]) -> str:
+    """Order-sensitive digest of a request population.
+
+    Hashes every field of every request (dataclass repr), so any change
+    to the population - count, order, sizes, keys, payloads - produces
+    a different key.
+    """
+    h = hashlib.sha256()
+    for r in requests:
+        h.update(repr(r).encode("utf-8"))
+        h.update(b"\x00")
+    return h.hexdigest()
+
+
+def allocator_signature_of(allocator: BaseAllocator) -> Tuple[str, object]:
+    """(class name, n_banks): allocator behaviour is class-determined,
+    so two fresh instances with equal signatures allocate identically."""
+    return (type(allocator).__name__, getattr(allocator, "n_banks", None))
+
+
 def _timed_key(service, requests, config, policy, batching, batch_size,
                reconv_override, warmup_frac, alloc_sig) -> tuple:
     """Logical identity of one timed run (content-addressed on disk
     together with the source fingerprint of executor + timing code)."""
     reconv = (tuple(sorted(reconv_override.items()))
               if reconv_override else None)
-    return ("chip", service.name, trace_cache.fingerprint_requests(requests),
+    return ("chip", service.name, fingerprint_requests(requests),
             repr(config), policy, batching, batch_size, reconv,
             alloc_sig, warmup_frac, 0, SOLO_MAX_STEPS, BATCH_MAX_STEPS)
 
@@ -159,9 +174,8 @@ def run_chip(
     requests = list(requests)
     make_alloc = allocator_factory or (lambda: _allocator_for(config))
     cacheable = allocator_factory is None or allocator_signature is not None
-    cache = trace_cache.get_cache() if cacheable else None
     if cacheable:
-        alloc_sig = trace_cache.allocator_signature(make_alloc())
+        alloc_sig = allocator_signature_of(make_alloc())
         if allocator_signature is not None and sanitize.sanitizer_enabled():
             sanitize.check(
                 alloc_sig == tuple(allocator_signature),
@@ -190,14 +204,14 @@ def run_chip(
 
     if config.batch_size <= 1 and config.hw_contexts == 1:
         _run_mimd_sequential(core, service, requests, make_alloc, out,
-                             warmup_frac, streaming, cache)
+                             warmup_frac, streaming)
     elif config.batch_size <= 1:
         _run_smt(core, config, service, requests, make_alloc, out,
-                 warmup_frac, streaming, cache)
+                 warmup_frac, streaming)
     else:
         _run_simt(core, config, service, requests, make_alloc, out,
                   policy, batching, batch_size, reconv_override,
-                  warmup_frac, streaming, cache)
+                  warmup_frac, streaming)
 
     out.counters = core.all_counters()
     out.scalar_instructions = int(out.counters["scalar_instructions"])
@@ -218,50 +232,17 @@ def _end_warmup(core, out, measured_requests):
 
 
 # ----------------------------------------------------------------------
-# solo-execution sources (CPU / SMT)
+# solo execution (CPU / SMT)
 # ----------------------------------------------------------------------
 
-def _solo_source(core, service, requests, make_alloc, cache):
-    """Build a ``play(i, request, sink)`` callable plus a ``done()`` hook.
-
-    On a cache hit ``play`` replays the memoized population trace; on a
-    miss it solo-executes live, teeing a recorder into the sink when a
-    cache is present so ``done()`` can store the population.
-    """
-    pool = core.cfg.worker_pool
-    alloc = make_alloc()
-    if cache is not None:
-        key = trace_cache.solo_key(service, requests, alloc, 0,
-                                   SOLO_MAX_STEPS, pool)
-        hit = cache.get(key)
-        if hit is not None:
-            def play(i, request, sink, _traces=hit):
-                replay_events(_traces[i], sink)
-            return play, lambda: None
-
-    runner = SoloRunner(service, allocator=alloc,
-                        max_steps=SOLO_MAX_STEPS, pool_size=pool)
-    if cache is None:
-        def play(i, request, sink):
-            runner.run_request(i, request, sink)
-        return play, lambda: None
-
-    recorders: List[ListSink] = []
-
-    def play(i, request, sink):
-        rec = ListSink()
-        recorders.append(rec)
-        runner.run_request(i, request, MultiSink(rec, sink))
-
-    def done():
-        traces = tuple(tuple(r.events) for r in recorders)
-        cache.put(key, traces, sum(len(t) for t in traces))
-
-    return play, done
+def _solo_runner(core, service, make_alloc) -> SoloRunner:
+    return SoloRunner(service, allocator=make_alloc(),
+                      max_steps=SOLO_MAX_STEPS,
+                      pool_size=core.cfg.worker_pool)
 
 
 def _run_mimd_sequential(core, service, requests, make_alloc, out,
-                         warmup_frac, streaming, cache):
+                         warmup_frac, streaming):
     out.batch_size = 1
     if not streaming:
         traces = solo_traces(service, requests, allocator=make_alloc(),
@@ -276,22 +257,21 @@ def _run_mimd_sequential(core, service, requests, make_alloc, out,
         out.core_cycles = core.now - t0
         return
 
-    play, done = _solo_source(core, service, requests, make_alloc, cache)
+    runner = _solo_runner(core, service, make_alloc)
     n_warm = int(len(requests) * warmup_frac)
     t0 = core.now
     for i, req in enumerate(requests):
         if i == n_warm:
             t0 = _end_warmup(core, out, len(requests) - n_warm)
         run = core.begin(1)
-        play(i, req, TimingSink(run, 0))
+        runner.run_request(i, req, TimingSink(run, 0))
         res = run.finish()
         out.latencies_cycles.append(res.cycles)
-    done()
     out.core_cycles = core.now - t0
 
 
 def _run_smt(core, config, service, requests, make_alloc, out,
-             warmup_frac, streaming, cache):
+             warmup_frac, streaming):
     out.batch_size = 1
     smt = config.hw_contexts
     if not streaming:
@@ -309,7 +289,7 @@ def _run_smt(core, config, service, requests, make_alloc, out,
         out.core_cycles = core.now - t0
         return
 
-    play, done = _solo_source(core, service, requests, make_alloc, cache)
+    runner = _solo_runner(core, service, make_alloc)
     groups = [requests[i:i + smt] for i in range(0, len(requests), smt)]
     n_warm = int(len(groups) * warmup_frac)
     warm_traces = sum(len(g) for g in groups[:n_warm])
@@ -320,47 +300,20 @@ def _run_smt(core, config, service, requests, make_alloc, out,
             t0 = _end_warmup(core, out, len(requests) - warm_traces)
         run = core.begin(len(group))
         for j, req in enumerate(group):
-            play(idx, req, TimingSink(run, j))
+            runner.run_request(idx, req, TimingSink(run, j))
             idx += 1
         res = run.finish()
         out.latencies_cycles.extend(s.cycles for s in res.streams)
-    done()
     out.core_cycles = core.now - t0
 
 
 # ----------------------------------------------------------------------
-# lockstep-execution source (RPU / GPU)
+# lockstep execution (RPU / GPU)
 # ----------------------------------------------------------------------
-
-def _play_batch(service, batch, policy, make_alloc, reconv_override,
-                cache, sink):
-    """Drive ``sink`` with one batch's event stream; returns the batch's
-    SIMT efficiency (replayed from cache when possible)."""
-    alloc = make_alloc()
-    if cache is not None:
-        key = trace_cache.batch_key(service, batch, policy, alloc,
-                                    reconv_override, 0, BATCH_MAX_STEPS)
-        hit = cache.get(key)
-        if hit is not None:
-            events, result = hit
-            replay_events(events, sink)
-            return result.simt_efficiency
-        rec = ListSink()
-        result = run_batch(service, batch, MultiSink(rec, sink),
-                           policy=policy, allocator=alloc,
-                           reconv_override=reconv_override,
-                           max_steps=BATCH_MAX_STEPS)
-        cache.put(key, (tuple(rec.events), result), len(rec.events))
-        return result.simt_efficiency
-    result = run_batch(service, batch, sink, policy=policy,
-                       allocator=alloc, reconv_override=reconv_override,
-                       max_steps=BATCH_MAX_STEPS)
-    return result.simt_efficiency
-
 
 def _run_simt(core, config, service, requests, make_alloc, out,
               policy, batching, batch_size, reconv_override,
-              warmup_frac, streaming, cache):
+              warmup_frac, streaming):
     bs = batch_size or min(service.recommended_batch, config.batch_size)
     out.batch_size = bs
     batches = form_batches(requests, bs, batching)
@@ -407,9 +360,11 @@ def _run_simt(core, config, service, requests, make_alloc, out,
         run = core.begin(len(group), batched=True)
         sizes = []
         for j, batch in enumerate(group):
-            effs.append(_play_batch(service, batch, policy, make_alloc,
-                                    reconv_override, cache,
-                                    TimingSink(run, j)))
+            result = run_batch(service, batch, TimingSink(run, j),
+                               policy=policy, allocator=make_alloc(),
+                               reconv_override=reconv_override,
+                               max_steps=BATCH_MAX_STEPS)
+            effs.append(result.simt_efficiency)
             sizes.append(len(batch))
         res = run.finish()
         for n_req, stream in zip(sizes, res.streams):

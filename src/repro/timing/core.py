@@ -30,9 +30,16 @@ Two entry points share one event-processing engine:
 
 Hot-loop counter discipline: integer counters (instruction/slot/RF
 event counts) are accumulated in plain Python ints and flushed to
-:class:`Counters` once per run; float counters (cycle-stack
-attributions) are still added per event, because reassociating float
-sums would break bit-identity with the pre-optimization model.
+:class:`Counters` once per run.  The float cycle-stack sums are
+different: reassociating them would break bit-identity, so each one
+is a closure local *seeded* from the counter's value when the
+:class:`CoreRun` is built, added to once per event in event order, and
+written back by ``finish()`` - the same additions in the same order as
+adding into the counter directly.  Only the keys the run touched are
+written back, because key presence is part of the result.  This relies
+on at most one :class:`CoreRun` per core being in flight at a time
+(``run_chip`` and :meth:`CoreModel.run` finish each run before the
+next begins).
 """
 
 from __future__ import annotations
@@ -53,9 +60,9 @@ from .memhier import Counters, MemoryHierarchy
 #: trace event: (pc, inst, active, addrs, outcomes)
 Event = Tuple[int, Instruction, int, Sequence, Optional[Sequence]]
 
-#: per-class scalar-instruction counter keys, precomputed so the hot
-#: loop never builds an f-string per event
-_SCALAR_KEY = {cls: f"scalar_{cls.value}" for cls in OpClass}
+#: op-class values whose service time is charged to the memory stack
+_MEM_CLASSES = frozenset(c._value_ for c in (OpClass.LOAD, OpClass.STORE,
+                                             OpClass.ATOMIC))
 
 
 @dataclass
@@ -110,7 +117,7 @@ class CoreRun:
 
     __slots__ = (
         "core", "cfg", "mem", "batched", "start",
-        "contexts", "preds", "_inc", "_process", "_snapshot",
+        "contexts", "preds", "_counters", "_process", "_snapshot",
         "_single", "_bufs", "_closed", "_dead", "_alive", "_rr",
         "_finished",
     )
@@ -126,9 +133,9 @@ class CoreRun:
         self.contexts = [_Context(start) for _ in range(n_contexts)]
         self.preds = [core._predictor(i) for i in range(n_contexts)]
         # bound once: core.counters is stable for the whole run (resets
-        # only ever happen between runs), and float counters must land
-        # in the same object the integer flush targets
-        self._inc = core.counters.inc
+        # only ever happen between runs), and the float sums are seeded
+        # from and written back to the object the integer flush targets
+        self._counters = core.counters
         self._single = n_contexts == 1
         self._bufs = (None if self._single
                       else [deque() for _ in range(n_contexts)])
@@ -205,7 +212,8 @@ class CoreRun:
                 self._closed[c] = True
             self._pump()
         (issue_time, n_events, n_scalar, n_slots, n_rf_reads, n_rf_writes,
-         n_icache_stalls, n_syscalls, scalar_by_cls) = self._snapshot()
+         n_icache_stalls, n_syscalls, scalar_by_cls, stack_dep, stack_mem,
+         stack_exec) = self._snapshot()
         start = self.start
         contexts = self.contexts
         finish_all = max((c.finish for c in contexts), default=start)
@@ -213,7 +221,15 @@ class CoreRun:
             finish_all = issue_time
         self.core.now = finish_all
 
-        inc = self._inc
+        cnt = self._counters
+        if n_events:
+            cnt["stack_dep_wait"] = stack_dep
+            classes = scalar_by_cls.keys()
+            if not classes.isdisjoint(_MEM_CLASSES):
+                cnt["stack_mem_service"] = stack_mem
+            if not classes <= _MEM_CLASSES:
+                cnt["stack_exec_service"] = stack_exec
+        inc = cnt.inc
         if n_icache_stalls:
             inc("icache_stalls", n_icache_stalls)
         if n_syscalls:
@@ -222,8 +238,8 @@ class CoreRun:
             inc("batch_instructions", n_events)
             inc("scalar_instructions", n_scalar)
             inc("issue_slots", n_slots)
-        for cls, v in scalar_by_cls.items():
-            inc(_SCALAR_KEY[cls], v)
+        for value, v in scalar_by_cls.items():
+            inc("scalar_" + value, v)
         if n_rf_reads:
             inc("rf_reads", n_rf_reads)
         if n_rf_writes:
@@ -252,7 +268,7 @@ class CoreRun:
         contexts = self.contexts
         preds = self.preds
         mem_access = self.mem.access
-        cnt = self.core.counters
+        cnt = self._counters
         batched = self.batched
         lanes = cfg.lanes
         issue_step = 1.0 / cfg.issue_width
@@ -281,11 +297,17 @@ class CoreRun:
         n_events = n_scalar = n_slots = 0
         n_rf_reads = n_rf_writes = 0
         n_icache_stalls = n_syscalls = 0
-        scalar_by_cls: Dict[OpClass, int] = {}
+        #: scalar instructions per op class, keyed by ``cls._value_``: a
+        #: plain-string key skips the Python-level ``Enum.__hash__``
+        scalar_by_cls: Dict[str, int] = {}
+        stack_dep = cnt.get("stack_dep_wait", 0)
+        stack_mem = cnt.get("stack_mem_service", 0)
+        stack_exec = cnt.get("stack_exec_service", 0)
 
         def process(i, pc, inst, active, addrs, outcomes):
             nonlocal issue_time, n_events, n_scalar, n_slots
             nonlocal n_rf_reads, n_rf_writes, n_icache_stalls, n_syscalls
+            nonlocal stack_dep, stack_mem, stack_exec
             ctx = contexts[i]
             cls = inst.cls
 
@@ -365,14 +387,14 @@ class CoreRun:
                 finish = start_t + 1
 
             # cycle-stack attribution (paper: data center CPUs retire
-            # only ~20% of cycles; the rest are stalls).  Float counters
-            # stay per-event: flushing a locally reassociated sum would
-            # not be bit-identical.
-            cnt["stack_dep_wait"] += start_t - fetch
+            # only ~20% of cycles; the rest are stalls).  The float sums
+            # are added per event, in event order, onto the counters'
+            # seeded values (see the module docstring).
+            stack_dep += start_t - fetch
             if cls is LOAD or cls is STORE or cls is ATOMIC:
-                cnt["stack_mem_service"] += finish - start_t
+                stack_mem += finish - start_t
             else:
-                cnt["stack_exec_service"] += finish - start_t
+                stack_exec += finish - start_t
 
             if inst.dst:
                 dep[inst.dst] = finish
@@ -385,7 +407,8 @@ class CoreRun:
             # ---- energy/bookkeeping counters (flushed in finish()) --
             n_events += 1
             n_scalar += active
-            scalar_by_cls[cls] = scalar_by_cls.get(cls, 0) + active
+            key = cls._value_
+            scalar_by_cls[key] = scalar_by_cls.get(key, 0) + active
             n_slots += slots
             if srcs:
                 n_rf_reads += len(srcs) * active
@@ -393,7 +416,7 @@ class CoreRun:
         def snapshot():
             return (issue_time, n_events, n_scalar, n_slots, n_rf_reads,
                     n_rf_writes, n_icache_stalls, n_syscalls,
-                    scalar_by_cls)
+                    scalar_by_cls, stack_dep, stack_mem, stack_exec)
 
         return process, snapshot
 

@@ -25,7 +25,7 @@ from ..isa.instructions import Instruction, OpClass, Segment
 from ..memsys.cache import SetAssociativeCache
 from ..memsys.dram import DramModel
 from ..memsys.interconnect import CrossbarInterconnect, MeshInterconnect
-from ..memsys.mcu import MemoryCoalescingUnit, scalar_accesses
+from ..memsys.mcu import MemoryCoalescingUnit
 from ..memsys.stackmap import StackInterleaver
 from ..memsys.tlb import PAGE_SIZE, BankedTlb, Tlb
 from ..sanitize import check, sanitizer_enabled
@@ -160,7 +160,7 @@ class MemoryHierarchy:
               "+ %d atomic RMWs",
               cnt["l3_accesses"], h3, cnt["l3_misses"], self._san_atomic_l3)
 
-    def _check_mcu(self, res, addrs) -> None:
+    def _check_mcu(self, pattern: str, lines: List[int], addrs) -> None:
         """Sanitizer: the coalescer may not fabricate line requests.
 
         Non-stack patterns emit at most one request per active lane
@@ -170,8 +170,8 @@ class MemoryHierarchy:
         count: one 8-byte access touches two physical words (128 bytes
         apart), possibly on two lines.
         """
-        n_lines = len(res.line_addrs)
-        if res.pattern == "stack":
+        n_lines = len(lines)
+        if pattern == "stack":
             bound = sum(max(1, s // 4) for _t, _a, s in addrs)
             check(n_lines <= bound,
                   "MCU stack pattern emitted %d lines for %d words",
@@ -179,10 +179,10 @@ class MemoryHierarchy:
         else:
             check(n_lines <= len(addrs),
                   "MCU %s pattern emitted %d lines for %d lanes",
-                  res.pattern, n_lines, len(addrs))
-        check(len(set(res.line_addrs)) == n_lines
-              or res.pattern in ("divergent", "scalar"),
-              "MCU %s pattern emitted duplicate lines", res.pattern)
+                  pattern, n_lines, len(addrs))
+        check(len(set(lines)) == n_lines
+              or pattern in ("divergent", "scalar"),
+              "MCU %s pattern emitted duplicate lines", pattern)
 
     # ------------------------------------------------------------------
     def access(
@@ -206,31 +206,41 @@ class MemoryHierarchy:
         if batched and cfg.mcu_enabled:
             cnt["mcu_ops"] += 1
             res = self.mcu.coalesce(inst.segment, addrs)
+            lines = res.line_addrs
+            pattern = res.pattern
         else:
-            res = scalar_accesses(addrs, cfg.line_size)
-        lines = res.line_addrs
+            # MIMD reference: every lane issues its own line access
+            ls = cfg.line_size
+            lines = [a // ls * ls for _t, a, _s in addrs]
+            pattern = "scalar"
         if self._san:
-            self._check_mcu(res, addrs)
+            self._check_mcu(pattern, lines, addrs)
         if not lines:
             return now
 
+        n_lines = len(lines)
         if inst.segment is Segment.STACK:
-            cnt["stack_line_accesses"] += len(lines)
+            cnt["stack_line_accesses"] += n_lines
         else:
-            cnt["data_line_accesses"] += len(lines)
+            cnt["data_line_accesses"] += n_lines
 
         # Stack interleaving needs a single translation (thread-0 base
-        # override); everything else translates per page touched.
-        if res.pattern == "stack":
+        # override); everything else translates per page touched, and
+        # a one-line access touches exactly one page.
+        if pattern == "stack" or n_lines == 1:
             cnt["tlb_accesses"] += 1
             tlb_penalty = 0.0
-            if not self.tlb.access(lines[0]):
+            vaddr = (lines[0] if pattern == "stack"
+                     else lines[0] // PAGE_SIZE * PAGE_SIZE)
+            if not self.tlb.access(vaddr):
                 cnt["tlb_misses"] += 1
                 tlb_penalty = float(cfg.tlb_miss_penalty)
         else:
             tlb_penalty = self._translate(lines, now)
 
-        serial = self.l1.bank_conflicts(lines) if cfg.l1_banks > 1 else len(lines)
+        # one line cannot conflict with itself: its depth is 1
+        serial = (self.l1.bank_conflicts(lines)
+                  if n_lines > 1 and cfg.l1_banks > 1 else n_lines)
         if serial > 1:
             cnt["l1_bank_conflict_cycles"] += serial - 1
             start = now + tlb_penalty + (serial - 1)

@@ -3,7 +3,7 @@
 Two consumption styles share the same executors:
 
 * :class:`ListSink` materializes a run's events (tests, fuzzing, the
-  trace cache);
+  materialized reference path of ``run_chip``);
 * :class:`TimingSink` streams events straight into an in-progress
   :class:`~repro.timing.core.CoreRun`, so ``run_chip`` can time a run
   without ever holding its trace in memory.
@@ -60,14 +60,6 @@ class TimingSink(StepSink):
 
     def on_done(self) -> None:
         self.run.close(self.ctx)
-
-
-def replay_events(events: Sequence[Event], sink: StepSink) -> None:
-    """Drive a sink with a previously materialized event stream."""
-    on_step = sink.on_step
-    for ev in events:
-        on_step(ev[0], ev[1], ev[2], ev[3], ev[4])
-    sink.on_done()
 
 
 def make_batch_executor(

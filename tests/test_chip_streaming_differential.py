@@ -1,9 +1,8 @@
 """Streaming timing path vs legacy materialize-then-run differential.
 
-``run_chip`` grew a streaming fast path (executor events fed straight
-into ``CoreRun``) plus a cross-config trace cache; the legacy
-materialized path is kept under ``streaming=False`` precisely so this
-differential can assert all three produce bit-identical results.
+``run_chip`` streams executor events straight into ``CoreRun``; the
+legacy materialized path is kept under ``streaming=False`` precisely
+so this differential can assert both produce bit-identical results.
 """
 
 import random
@@ -12,7 +11,6 @@ from dataclasses import replace
 import pytest
 
 from repro.timing import CPU_CONFIG, RPU_CONFIG, run_chip
-from repro.timing import trace_cache
 from repro.workloads import get_service
 
 SMT_CONFIG = replace(CPU_CONFIG, name="smt4-test", hw_contexts=4)
@@ -27,7 +25,6 @@ def _observables(res):
                          ids=["cpu", "smt", "rpu"])
 @pytest.mark.parametrize("svc_name", ["mcrouter", "post"])
 def test_streaming_matches_materialized(svc_name, config, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
     monkeypatch.setenv("REPRO_CACHE", "0")  # force a live compute
     svc = get_service(svc_name)
     reqs = svc.generate_requests(24, random.Random(7))
@@ -35,21 +32,3 @@ def test_streaming_matches_materialized(svc_name, config, monkeypatch):
     streamed = run_chip(svc, reqs, config)
     assert _observables(streamed) == _observables(legacy)
 
-
-def test_streaming_with_cache_matches_materialized(monkeypatch):
-    monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
-    # the persistent store would satisfy the second run at the timed
-    # level and never exercise the in-memory replay being tested here
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    trace_cache.clear()
-    try:
-        svc = get_service("mcrouter")
-        reqs = svc.generate_requests(24, random.Random(7))
-        legacy = run_chip(svc, reqs, RPU_CONFIG, streaming=False)
-        warm = run_chip(svc, reqs, RPU_CONFIG)    # fills the cache
-        cached = run_chip(svc, reqs, RPU_CONFIG)  # replays from it
-        assert trace_cache.stats()["hits"] > 0
-        assert _observables(warm) == _observables(legacy)
-        assert _observables(cached) == _observables(legacy)
-    finally:
-        trace_cache.clear()

@@ -1,10 +1,11 @@
-"""Determinism pins for the fault/resilience PR.
+"""Determinism pins: reference stdouts and jobs/repeat independence.
 
 Two contracts:
 
-* the fault/resilience layer is *opt-in*: with no injector armed, six
-  existing experiments render byte-identically to reference stdouts
-  captured before the layer existed (``tests/data/ref_stdout_*.txt``);
+* experiments render byte-identically to reference stdouts
+  (``tests/data/ref_stdout_*.txt``): six captured before the
+  fault/resilience layer existed pin it as *opt-in*, and the Fig. 19-21
+  and cycle-stack figures pin the ``run_chip`` timing path;
 * the new resilience sweep is itself deterministic: repeated runs and
   ``--jobs 1`` vs ``--jobs 4`` produce byte-identical output.
 """
@@ -14,9 +15,11 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import (
+    cycle_stacks,
     fig05_bandwidth,
     fig07_minpc,
     fig13_stack_interleaving,
+    fig19_20_21_chip,
     fig22_end_to_end,
     fleet_sweep,
     resilience_sweep,
@@ -40,6 +43,11 @@ REFERENCES = [
     # captured before the zone/failover layer: pins that layer (and
     # the adaptive balancer) as strictly opt-in for fleet sweeps
     ("fleet", fleet_sweep.main, 0.1),
+    # the run_chip path end to end (executor events streamed through
+    # the timing model and memory hierarchy): pins every cycle, stack
+    # and traffic figure against timing-model drift
+    ("chip", fig19_20_21_chip.main, 0.1),
+    ("cycle_stacks", cycle_stacks.main, 0.1),
 ]
 
 

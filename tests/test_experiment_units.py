@@ -143,16 +143,11 @@ class TestRunAllByteIdentity:
 
     def test_cold_warm_and_bypass_agree(self, fresh_store, capsys,
                                         monkeypatch):
-        from repro.timing import trace_cache
-
-        trace_cache.get_cache().clear()
         cold = self._run_subset(capsys)
         hits_before = fresh_store.hits
-        trace_cache.get_cache().clear()
         warm = self._run_subset(capsys)
         assert warm == cold
         assert fresh_store.hits > hits_before, "warm pass must hit disk"
         monkeypatch.setenv("REPRO_CACHE", "0")
-        trace_cache.get_cache().clear()
         uncached = self._run_subset(capsys)
         assert uncached == cold

@@ -77,9 +77,10 @@ class TestFingerprint:
         assert noisy == base
 
     def test_module_fingerprints_cached_and_distinct(self):
-        assert store.trace_fingerprint() == store.trace_fingerprint()
-        # the timing package is part of timed identity only
-        assert store.timed_fingerprint() != store.trace_fingerprint()
+        assert store.timed_fingerprint() == store.timed_fingerprint()
+        # the timing package is part of timed identity
+        assert store.timed_fingerprint() != store.source_fingerprint(
+            store.TIMED_MODULES[:-1])
 
 
 class TestRoundTrip:
@@ -252,6 +253,73 @@ class TestRunChipIntegration:
 
     def _chip_entries(self, st):
         return [f for f in _entry_files(st) if f.startswith("chip-")]
+
+    def _timed_key_args(self):
+        from repro.memsys.alloc import SimrAwareAllocator
+        from repro.timing import RPU_CONFIG
+        from repro.timing.chip import allocator_signature_of
+        from repro.workloads import get_service
+
+        service = get_service("mcrouter")
+        reqs = service.generate_requests(8, random.Random(0))
+        return dict(
+            service=service, requests=reqs, config=RPU_CONFIG,
+            policy="minsp_pc", batching="per_api_size", batch_size=None,
+            reconv_override=None, warmup_frac=0.2,
+            alloc_sig=allocator_signature_of(SimrAwareAllocator(n_banks=8)))
+
+    def test_timed_key_stable(self):
+        from repro.memsys.alloc import SimrAwareAllocator
+        from repro.timing.chip import _timed_key, allocator_signature_of
+
+        base_args = self._timed_key_args()
+        base = _timed_key(**base_args)
+        # equal inputs built afresh (a copied request list, a new
+        # allocator of the same kind) give the same key
+        assert _timed_key(**{
+            **base_args, "requests": list(base_args["requests"]),
+            "alloc_sig": allocator_signature_of(
+                SimrAwareAllocator(n_banks=8))}) == base
+
+    def test_timed_key_sensitive_to_policy_allocator_and_requests(self):
+        from repro.memsys.alloc import DefaultAllocator, SimrAwareAllocator
+        from repro.timing import CPU_CONFIG
+        from repro.timing.chip import _timed_key, allocator_signature_of
+
+        base_args = self._timed_key_args()
+        reqs = base_args["requests"]
+
+        def key(**change):
+            return _timed_key(**{**base_args, **change})
+
+        base = key()
+        for change in (
+                dict(policy="ipdom"),
+                dict(config=CPU_CONFIG),
+                dict(batching="naive"),
+                dict(batch_size=4),
+                dict(reconv_override={3: 7}),
+                dict(warmup_frac=0.0),
+                dict(alloc_sig=allocator_signature_of(
+                    DefaultAllocator(n_banks=8))),
+                dict(alloc_sig=allocator_signature_of(
+                    SimrAwareAllocator(n_banks=4))),
+                dict(requests=reqs[:-1]),
+                dict(requests=list(reversed(reqs)))):
+            assert key(**change) != base, change
+
+    def test_custom_allocator_factory_bypasses_store(self, fresh_store):
+        from repro.memsys.alloc import DefaultAllocator
+
+        def factory():
+            return DefaultAllocator(n_banks=1)
+
+        self._run(allocator_factory=factory)
+        assert fresh_store.stores == 0
+        # vouching for the factory makes the result storable again
+        self._run(allocator_factory=factory,
+                  allocator_signature=("DefaultAllocator", 1))
+        assert len(self._chip_entries(fresh_store)) == 1
 
     def test_population_change_misses(self, fresh_store):
         from repro.timing import CPU_CONFIG, run_chip

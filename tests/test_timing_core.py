@@ -149,3 +149,98 @@ def test_time_accumulates_across_runs():
     r1 = core.run([[alu(1)] * 10])
     r2 = core.run([[alu(1)] * 10])
     assert r2.start >= r1.finish - 1e-9
+
+
+# ----------------------------------------------------------------------
+# hot-loop invariants: seeded cycle-stack sums and value-keyed tallies
+# ----------------------------------------------------------------------
+
+def _bare_load(dst):
+    """A load with no source registers: its dependence wait is zero."""
+    inst = Instruction(op="ld", cls=OpClass.LOAD, dst=dst, srcs=(),
+                       segment=Segment.HEAP)
+    return (0, inst, 1, ((0, 0x4000_0000, 8),), None)
+
+
+def _scripted_memory(core, latencies):
+    """Replace the core's memory with fixed per-access latencies and
+    record each access's service time exactly as the model computes
+    it (``finish - start``)."""
+    service = []
+    it = iter(latencies)
+
+    def access(inst, addrs, now, batched):
+        finish = now + next(it)
+        service.append(finish - now)
+        return finish
+
+    core.mem.access = access
+    return service
+
+
+def _fold(deltas, seed=0):
+    total = seed
+    for d in deltas:
+        total += d
+    return total
+
+
+@pytest.mark.parametrize("reset", [False, True], ids=["carry", "reset"])
+def test_stack_sums_equal_per_event_fold_across_runs(reset):
+    import random
+
+    rng = random.Random(5)
+    latencies = [rng.uniform(0.1, 500.0) for _ in range(60)]
+    core = CoreModel(cfg())
+    service = _scripted_memory(core, latencies)
+    core.run([[_bare_load(i % 8 + 1) for i in range(30)]])
+    first = list(service)
+    if reset:
+        core.reset_measurement()
+    run = core.begin(1)  # the incremental path continues the sums too
+    for ev in [_bare_load(i % 8 + 1) for i in range(30)]:
+        run.feed(0, *ev)
+    run.finish()
+
+    deltas = service[len(first):] if reset else service
+    assert core.counters["stack_mem_service"] == _fold(deltas)
+    assert core.counters["stack_dep_wait"] == 0.0
+    # loads only: the execution stack was never touched
+    assert "stack_exec_service" not in core.counters
+
+
+def test_run_without_memory_ops_leaves_no_mem_stack_key():
+    core = CoreModel(cfg())
+    core.run([[alu(1, 1) for _ in range(20)], [branch(True)] * 5])
+    assert "stack_mem_service" not in core.counters
+    assert core.counters["stack_exec_service"] > 0
+    assert "stack_dep_wait" in core.counters
+
+
+def test_empty_run_touches_no_stack_key():
+    core = CoreModel(cfg())
+    core.run([[]])
+    assert not [k for k in core.counters if k.startswith("stack_")]
+
+
+def test_value_keyed_tally_matches_opclass_keyed_tally():
+    sc = Instruction(op="syscall", cls=OpClass.SYSCALL,
+                     syscall=SyscallKind.NETWORK)
+    mul = Instruction(op="mul", cls=OpClass.MUL, dst=3, srcs=(1, 2))
+    jump = Instruction(op="j", cls=OpClass.JUMP)
+    events = ([alu(1), load(2, 0x4000_0000), branch(True),
+               (0, mul, 1, (), None), (0, jump, 1, (), None),
+               (0, sc, 1, (), None)] * 3)
+    batched = [(pc, inst, 1 + k % 7, addrs, outs)
+               for k, (pc, inst, _n, addrs, outs) in enumerate(events)]
+    core = CoreModel(replace(RPU_CONFIG, **QUIET))
+    core.run([batched], batched=True)
+
+    by_class = {}
+    for _pc, inst, active, _a, _o in batched:
+        by_class[inst.cls] = by_class.get(inst.cls, 0) + active
+    expected = {f"scalar_{cls.value}": n for cls, n in by_class.items()}
+    got = {k: v for k, v in core.counters.items()
+           if k.startswith("scalar_") and k != "scalar_instructions"}
+    assert got == expected
+    assert core.counters["scalar_instructions"] == sum(by_class.values())

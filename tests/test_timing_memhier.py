@@ -8,7 +8,7 @@ from repro.engine.memory import HEAP_BASE, stack_base
 from repro.isa import Instruction, OpClass, Segment
 from repro.memsys.mcu import CoalescingResult
 from repro.sanitize import SanitizerError
-from repro.timing import CPU_CONFIG, RPU_CONFIG, MemoryHierarchy
+from repro.timing import CPU_CONFIG, RPU_CONFIG, SMT8_CONFIG, MemoryHierarchy
 
 
 def ld(segment=Segment.HEAP):
@@ -202,3 +202,45 @@ class TestSanitizers:
         mh.access(ld(), [(0, HEAP_BASE, 8)], 0.0, batched=False)
         mh.counters["l1_misses"] += 1  # corruption goes unchecked
         mh.access(ld(), [(0, HEAP_BASE + 4096, 8)], 10.0, batched=False)
+
+
+@pytest.mark.parametrize("config", [CPU_CONFIG, SMT8_CONFIG],
+                         ids=["cpu", "smt8"])
+class TestScalarPathUnderSanitizer:
+    """The scalar (non-MCU) path builds its line list inline and takes
+    a one-line shortcut past the page set and bank-conflict scan; the
+    accounting checks must still run and hold on it."""
+
+    @pytest.fixture(autouse=True)
+    def san(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+
+    def test_one_line_accesses_pass_and_translate_once(self, config):
+        mh = MemoryHierarchy(config)
+        for k in range(6):
+            mh.access(ld(), [(0, HEAP_BASE + 4096 * k, 8)], 10.0 * k,
+                      batched=False)
+            mh.access(st(), [(0, HEAP_BASE + 4096 * k, 8)], 10.0 * k + 5,
+                      batched=False)
+        c = mh.counters
+        assert c["tlb_accesses"] == 12
+        assert c["l1_accesses"] == 12
+        assert c["l1_bank_conflict_cycles"] == 0
+
+    def test_multi_line_accesses_pass_and_translate_per_page(self, config):
+        mh = MemoryHierarchy(config)
+        page = 2 * 1024 * 1024
+        addrs = [(t, HEAP_BASE + 32 * t + page * (t % 2), 8)
+                 for t in range(4)]
+        mh.access(ld(), addrs, 0.0, batched=False)
+        mh.access(st(), addrs, 100.0, batched=False)
+        c = mh.counters
+        assert c["tlb_accesses"] == 4  # two pages per access
+        assert c["l1_accesses"] == 8
+
+    def test_one_line_corruption_still_detected(self, config):
+        mh = MemoryHierarchy(config)
+        mh.access(ld(), [(0, HEAP_BASE, 8)], 0.0, batched=False)
+        mh.counters["l2_misses"] += 1
+        with pytest.raises(SanitizerError):
+            mh.access(ld(), [(0, HEAP_BASE + 64, 8)], 10.0, batched=False)
