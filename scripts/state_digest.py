@@ -12,9 +12,9 @@ written-memory image and the full ``LockstepResult`` counters - the
 exact field set ``tests/test_differential_fastpath.py`` compares.
 
 The dump is a *differential unit*: CI runs this script under the
-default engine configuration and again under the bit-identity witness
-toggles (``REPRO_MEMO=0 REPRO_BOUNDED=0``, and ``REPRO_VECTOR=0``)
-and diffs the outputs.  Any divergence names the exact service/policy
+default engine configuration, again under the scalar-engine witness
+``REPRO_VECTOR=0``, and once more against the warm generated-code
+store, and diffs the outputs.  Any divergence names the exact service/policy
 cell that broke, which is far cheaper to triage than a failed
 end-to-end byte compare.
 

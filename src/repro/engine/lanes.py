@@ -7,45 +7,15 @@ column per architectural register plus flat pc / halted / retired-delta
 vectors - and applies each instruction across all live lanes of a group
 inside one generated function (:mod:`repro.engine.vcodegen`).
 
-Two backends sit behind the same interface:
+Register columns are plain lists of Python ints: the ISA's registers
+hold unbounded integers (the reference interpreter masks only shifts
+and hashes, so multiply chains overflow 64 bits by design) and
+demoting them to ``int64`` would silently change architectural
+results.  Only the pc / halted vectors are ``array('q')`` buffers.
 
-* **numpy** (when importable): the pc / halted / retired-delta vectors
-  are ``int64`` ndarrays;
-* **array** (always available): the same vectors as ``array('q')``
-  buffers from the stdlib ``array`` module.
-
-Register columns are deliberately *not* numpy arrays in either backend:
-the ISA's registers hold unbounded Python integers (the reference
-interpreter masks only shifts and hashes, so multiply chains overflow 64
-bits by design) and demoting them to ``int64`` would silently change
-architectural results.  Columns are plain lists of Python ints; the
-backends only differ in the bounded bookkeeping vectors.
-
-**Bounded-int lanes** recover int64 column arithmetic where it is
-provably safe: for pure-ALU grains, ``engine/vcodegen`` emits a
-:class:`BoundedTape` — a straight-line int64 column program plus a
-per-grain input bound ``M`` chosen by static interval analysis so that
-no intermediate can leave int64 when every live-in register is within
-``[-M, M]``.  :func:`bounded_call` gathers the live-in columns into
-int64 vectors (mirroring the pc/halted vectors) behind a two-stage
-overflow gate: values that do not even fit int64 trip the gather's
-``OverflowError``, and in-range values are compared against ``±M``
-directly (never ``np.abs``, which wraps at ``-2**63``).  Lanes that
-trip either stage *demote* to the unbounded per-lane grain function;
-pure-ALU lanes are independent, so the split is bit-identical.
-
-Environment switches (re-read per call so tests can toggle them):
-
-* ``REPRO_VECTOR=0`` disables the vectorized engine entirely - the
-  executors fall back to the per-thread fast path, which doubles as a
-  differential witness for the vector path;
-* ``REPRO_VECTOR_NUMPY=0`` forces the ``array``-module backend even
-  when numpy is importable (used by the bit-identity tests);
-* ``REPRO_BOUNDED=0`` disables the bounded-int lanes (every grain runs
-  the unbounded generated function — the bit-identity witness for the
-  int64 tape path);
-* ``REPRO_MEMO=0`` disables grain-trace memoization (see
-  :mod:`repro.engine.memo`).
+``REPRO_VECTOR=0`` disables the vectorized engine (re-read per call, so
+tests can toggle it): the executors fall back to the per-thread fast
+path, which doubles as a differential witness for the vector path.
 """
 
 from __future__ import annotations
@@ -57,6 +27,11 @@ from typing import List, Optional, Sequence
 from ..isa.instructions import NUM_REGS
 from ..sanitize import check
 
+#: always zero (no grain runs on int64 register lanes); kept only
+#: because perfbench/layers.py:284 reads it for the
+#: ``engine.bounded_vector_frac`` metric.
+BOUNDED_STATS = {"vector": 0, "scalar": 0}
+
 
 def vector_enabled() -> bool:
     """True unless ``REPRO_VECTOR=0`` (re-read per call, so tests and
@@ -64,55 +39,14 @@ def vector_enabled() -> bool:
     return os.environ.get("REPRO_VECTOR", "1") != "0"
 
 
-def bounded_enabled() -> bool:
-    """True unless ``REPRO_BOUNDED=0`` (re-read per call): whether
-    eligible pure-ALU grains run on int64 columns via
-    :func:`bounded_call` instead of the unbounded per-lane loop."""
-    return os.environ.get("REPRO_BOUNDED", "1") != "0"
-
-
-#: cached numpy module, or False after a failed import ("not yet tried"
-#: is None).  Monkeypatchable: tests may set this to False to simulate
-#: a numpy-less interpreter without uninstalling anything.
-_NUMPY = None
-
-
-def _numpy():
-    global _NUMPY
-    if _NUMPY is None:
-        try:
-            import numpy
-            _NUMPY = numpy
-        except Exception:
-            _NUMPY = False
-    return _NUMPY
-
-
-def backend_name() -> str:
-    """``"numpy"`` or ``"array"``: which vector backend is in effect."""
-    if os.environ.get("REPRO_VECTOR_NUMPY", "1") != "0" and _numpy():
-        return "numpy"
-    return "array"
-
-
-def int_vector(values: Sequence[int]):
-    """A mutable int64 vector initialized from ``values`` (backend-
-    selected).  Both backends support ``v[i]``/``v[i] = x`` with plain
-    Python ints, which is all the generated code uses."""
-    if backend_name() == "numpy":
-        np = _numpy()
-        return np.array(list(values), dtype=np.int64)
-    return array("q", values)
-
-
 class LaneState:
     """The batch as a structure of arrays (one lane per thread).
 
     ``regs[r][i]`` is register ``r`` of lane ``i`` (Python ints, see
-    module docstring); ``pc``/``halted``/``retired`` are backend int64
-    vectors.  ``call_stacks[i]`` and ``syscalls[i]`` alias the threads'
-    own list objects, so call/ret/syscall effects land in place and need
-    no write-back.
+    module docstring); ``pc``/``halted`` are ``array('q')`` vectors and
+    ``retired`` a plain list.  ``call_stacks[i]`` and ``syscalls[i]``
+    alias the threads' own list objects, so call/ret/syscall effects
+    land in place and need no write-back.
 
     The pc vector is only guaranteed current for *halted* lanes while
     the engine runs (running lanes' pcs live in the scheduler's group
@@ -128,11 +62,10 @@ class LaneState:
         # columns must be fresh mutable lists
         self.regs: List[List[int]] = [list(col)
                                       for col in zip(*(t.regs for t in threads))]
-        self.pc = int_vector(t.pc for t in threads)
-        self.halted = int_vector(1 if t.halted else 0 for t in threads)
+        self.pc = array("q", [t.pc for t in threads])
+        self.halted = array("q", [1 if t.halted else 0 for t in threads])
         # retired deltas are engine bookkeeping only (never touched by
-        # generated code); a plain list avoids per-element ndarray
-        # indexing cost on the frequent pending-retired flushes
+        # generated code)
         self.retired = [0] * self.n
         self.call_stacks = [t.call_stack for t in threads]
         self.syscalls = [t.syscall_trace for t in threads]
@@ -151,8 +84,7 @@ class LaneState:
         keys are type-identical to the scalar engines; retired holds
         *deltas* and accumulates.
         """
-        # bulk-convert once: both backends' .tolist() yields plain
-        # Python ints, avoiding per-element scalar boxing in the loop
+        # bulk-convert once: .tolist() yields plain Python ints
         pcl = self.pc.tolist()
         hl = self.halted.tolist()
         retd = self.retired
@@ -202,182 +134,3 @@ class LaneState:
                 check(len(self.call_stacks[i]) == depth,
                       "%s: lane %d at depth %d scheduled under depth %d",
                       name, i, len(self.call_stacks[i]), depth)
-
-
-# ----------------------------------------------------------------------
-# bounded-int register lanes
-
-
-class BoundedTape:
-    """Straight-line int64 column program for one pure-ALU grain.
-
-    Built by ``engine/vcodegen`` alongside the grain's generated
-    function.  ``steps`` are ``(opcode, dst_reg, a, b)`` with operands
-    ``("r", reg)`` or ``("i", imm)``; ``term`` is ``None``, ``("halt",
-    pc)`` or ``("branch", cmp, a, b)``.  ``bound`` is the largest
-    ladder value ``M`` for which the emitter's interval analysis proves
-    every intermediate stays inside int64 when all live-in registers
-    are within ``[-M, M]`` (``hash`` internals are exempt: their int64
-    wrap is masked away exactly as in the unbounded source)."""
-
-    __slots__ = ("in_regs", "out_regs", "bound", "steps", "term", "hot")
-
-    def __init__(self, in_regs, out_regs, bound, steps, term, hot=True):
-        self.in_regs = in_regs
-        self.out_regs = out_regs
-        self.bound = bound
-        self.steps = steps
-        self.term = term
-        # hot: big-int-producing (hash) or long tapes, where the int64
-        # columns beat unbounded-int python at moderate widths; cold
-        # tapes only pay off at _BOUNDED_WIDE lanes
-        self.hot = hot
-
-
-#: below this group width the gather/scatter overhead beats the win;
-#: tests pin it to 1 to force the vector path on tiny groups
-_BOUNDED_MIN_LANES = 8
-
-#: cold (short, no-hash) tapes need this many lanes to amortize the
-#: gather/scatter; tests pin it to 1 alongside _BOUNDED_MIN_LANES
-_BOUNDED_WIDE = 64
-
-#: observability for tests: how often the tape path ran, how many lanes
-#: the overflow gate demoted, and how often we fell back entirely
-BOUNDED_STATS = {"vector": 0, "demoted": 0, "scalar": 0}
-
-
-def bounded_call(bt: BoundedTape, fn, idx, R, cs, sy, pcv, hv, store,
-                 salt):
-    """Run one pure-ALU grain on int64 columns where every lane's
-    live-in values sit inside the tape's proven bound; lanes that trip
-    the overflow gate demote to the unbounded ``fn``, bit-identically
-    (pure-ALU lanes are independent, so the split cannot reorder any
-    architectural effect)."""
-    np = _numpy()
-    if (np is False
-            or len(idx) < (_BOUNDED_MIN_LANES if bt.hot
-                           else _BOUNDED_WIDE)
-            or os.environ.get("REPRO_VECTOR_NUMPY", "1") == "0"):
-        BOUNDED_STATS["scalar"] += 1
-        return fn(idx, R, cs, sy, pcv, hv, store, salt)
-    n = len(idx)
-    bound = bt.bound
-    cols = {}
-    bad = None
-    for r in bt.in_regs:
-        col = R[r]
-        try:
-            a = np.fromiter((col[i] for i in idx), np.int64, n)
-        except OverflowError:
-            # stage 1: some lane's unbounded value does not even fit
-            # int64 (fromiter rejects the whole gather) - rescan
-            # per-lane to find every offender
-            m = np.fromiter(
-                (not (-bound <= col[i] <= bound) for i in idx),
-                np.bool_, n)
-            bad = m if bad is None else (bad | m)
-            continue
-        # stage 2: in-int64 values outside the proven bound.  Explicit
-        # two-sided compare, NOT np.abs: abs(-2**63) wraps to itself.
-        m = (a > bound) | (a < -bound)
-        if m.any():
-            bad = m if bad is None else (bad | m)
-        cols[r] = a
-    if bad is None:
-        BOUNDED_STATS["vector"] += 1
-        return _tape_exec(bt, np, cols, idx, R, pcv, hv)
-    badset = set(np.flatnonzero(bad).tolist())
-    ok_lanes = [i for j, i in enumerate(idx) if j not in badset]
-    bad_lanes = [i for j, i in enumerate(idx) if j in badset]
-    BOUNDED_STATS["demoted"] += len(bad_lanes)
-    if not ok_lanes:
-        BOUNDED_STATS["scalar"] += 1
-        return fn(idx, R, cs, sy, pcv, hv, store, salt)
-    BOUNDED_STATS["vector"] += 1
-    okcols = {r: np.fromiter((R[r][i] for i in ok_lanes), np.int64,
-                             len(ok_lanes))
-              for r in bt.in_regs}
-    res_ok = _tape_exec(bt, np, okcols, ok_lanes, R, pcv, hv)
-    res_bad = fn(bad_lanes, R, cs, sy, pcv, hv, store, salt)
-    term = bt.term
-    if term is None or term[0] != "branch":
-        return None
-    # lane lists are ascending on both sides, and the executors consume
-    # partitions in ascending lane order - a sorted merge is exact
-    ta, fa = res_ok
-    tb, fb = res_bad
-    return sorted(ta + tb), sorted(fa + fb)
-
-
-def _tape_exec(bt: BoundedTape, np, env, lanes, R, pcv, hv):
-    """Execute a tape over pre-gathered int64 columns, scatter the
-    written columns back as plain Python ints, and reproduce the
-    grain's return-value shape (branch partition, or None)."""
-    for opc, dst, a, b in bt.steps:
-        av = env[a[1]] if a[0] == "r" else a[1]
-        bv = env[b[1]] if b[0] == "r" else b[1]
-        if opc == "add":
-            v = av + bv
-        elif opc == "sub":
-            v = av - bv
-        elif opc == "mul":
-            v = av * bv
-        elif opc == "and":
-            v = av & bv
-        elif opc == "or":
-            v = av | bv
-        elif opc == "xor":
-            v = av ^ bv
-        elif opc == "min":
-            v = np.minimum(av, bv)
-        elif opc == "max":
-            v = np.maximum(av, bv)
-        elif opc == "slt":
-            v = (av < bv).astype(np.int64)
-        elif opc == "shr":
-            v = av >> (bv & 63)
-        elif opc == "li":
-            v = np.full(len(lanes), bv, np.int64)
-        elif opc == "mov":
-            v = av
-        else:  # hash: int64 wrap of the products is masked away below,
-            # exactly as in the unbounded generated source
-            x = (av * 0x9E3779B1 + bv * 0x85EBCA77) & 0xFFFFFFFF
-            v = ((x ^ (x >> 13)) * 0xC2B2AE3D) & 0x7FFFFFFF
-        env[dst] = v
-    for r in bt.out_regs:
-        col = R[r]
-        vals = env[r].tolist()
-        for j, i in enumerate(lanes):
-            col[i] = vals[j]
-    term = bt.term
-    if term is None:
-        return None
-    if term[0] == "halt":
-        hp = term[1]
-        for i in lanes:
-            hv[i] = 1
-            pcv[i] = hp
-        return None
-    _, op, a, b = term
-    av = env[a[1]] if a[0] == "r" else a[1]
-    bv = env[b[1]] if b[0] == "r" else b[1]
-    if op == "==":
-        c = av == bv
-    elif op == "!=":
-        c = av != bv
-    elif op == "<":
-        c = av < bv
-    elif op == ">=":
-        c = av >= bv
-    elif op == "<=":
-        c = av <= bv
-    else:
-        c = av > bv
-    cl = c.tolist()
-    _t: List[int] = []
-    _f: List[int] = []
-    for j, i in enumerate(lanes):
-        (_t if cl[j] else _f).append(i)
-    return _t, _f

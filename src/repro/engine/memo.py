@@ -1,369 +1,13 @@
-"""Trace-level grain memoization for the vectorized lockstep engine.
+"""Placeholder for the removed grain memo.
 
-SIMR's premise is that concurrent microservice requests execute the
-same instructions over near-identical state — which makes whole-grain
-re-execution mostly redundant.  This module caches, per compiled grain
-invocation, the grain's *state delta* and replays it on a hit instead
-of re-interpreting the grain.
-
-**Keying.**  A grain (a generated block/chain/run function from
-:mod:`repro.engine.vcodegen`) is a straight line of code, so its entire
-behaviour is a function of: the program (content digest — the table is
-per-program), the grain identity (generated-function name, which
-encodes entry pc and prefix cut), the memory-hash ``salt``, the lane
-count, the per-lane values of the grain's live-in registers
-(``GrainMeta.key_regs``, the exact read-before-write set derived
-alongside the CFG liveness analysis in ``isa/cfg.py``), the per-lane
-call-stack tops for RET-terminated grains, and the values of every
-memory address it reads.  The first group is the dictionary key; memory
-reads are validated per hit against the recorded read set (``checks``
-below), because the addresses themselves derive from key registers but
-their contents can change between invocations.  The *active-lane mask*
-is deliberately not part of the key: deltas are recorded positionally
-per lane, so any lane-index list with the same width and the same
-live-in values replays identically — this widens hits across batches
-without weakening soundness.
-
-**Recording.**  A miss executes the grain live behind a
-``_RecordingStore`` proxy (grains only call ``store.get`` and item
-assignment), then prunes the log into ``checks`` — the first read of
-each address not previously written by the grain, raw (``None`` means
-"background fill", whose value is pure ``(addr, salt)``) — and
-``writes`` — the final value per written address.  Register deltas are
-snapshots of the grain's ``out_regs`` columns; call-stack effects
-(statically known pushes, the RET pop) and the return-value shape
-(branch partition mask / ret buckets in first-seen order) complete the
-entry.  Atomics and syscalls are never memoized
-(``vcodegen._grain_meta`` refuses them).
-
-**Replay.**  A hit validates ``checks`` against the live store, then
-applies ``writes``, scatters the register columns, replays stack
-effects and halt flags, and reconstructs the return value.  Under
-``REPRO_SANITIZE=1`` (or ``REPRO_CACHE_VERIFY=1``) every hit instead
-re-executes the grain live and compares the fresh delta against the
-cached entry field-by-field, raising
-:class:`repro.store.CacheVerifyError` on any divergence — this is the
-recompute-and-compare witness that also catches a tampered persisted
-table.
-
-**Persistence.**  Hot tables are published to the content-addressed
-store (:mod:`repro.store`) under kind ``"vmemo"``, fingerprinted by
-the engine+ISA sources and keyed by the program digest, so later
-processes start warm.  The store's ``put`` is first-write-wins per
-address, so the first snapshot (after :data:`_FLUSH_DELTA` fresh
-entries) seeds future processes; in-process entries keep accumulating
-regardless.
-
-``REPRO_MEMO=0`` disables the whole path (the bit-identity witness);
-the toggle is re-read per run so tests and the fuzz oracle can flip it
-without re-importing.
+Every vector-engine grain runs its generated function; nothing is
+memoized and nothing calls :func:`table_for`.  This module exists only
+because perfbench/layers.py:215 resolves ``table_for`` for the
+``engine.memo_hit_ratio`` metric, which therefore reads 0.0, until a
+benchmark change retires that metric.
 """
 
-from __future__ import annotations
 
-import os
-from operator import itemgetter
-from typing import Dict, Optional
-
-from .. import sanitize, store
-from ..store import CacheVerifyError
-from .lanes import bounded_call
-
-__all__ = ["memo_enabled", "table_for", "MemoTable", "CacheVerifyError"]
-
-
-def memo_enabled() -> bool:
-    """True unless ``REPRO_MEMO=0`` (re-read per call)."""
-    return os.environ.get("REPRO_MEMO", "1") != "0"
-
-
-#: per-table entry cap (a runaway generator-built program cannot grow
-#: the table without bound; hits keep working once full)
-_MEMO_CAP = 8192
-
-#: memory-op log cap per entry: grains touching more traffic than this
-#: are executed live every time (the entry would cost more to validate
-#: than to recompute)
-_MEMO_MAX_OPS = 8192
-
-#: per-key entry-bucket cap (distinct memory contexts per live-in key)
-_BUCKET_CAP = 4
-
-#: fresh entries between persistent-store snapshots
-_FLUSH_DELTA = 64
-
-#: in-process table registry, keyed by program content digest
-_TABLES: Dict[str, "MemoTable"] = {}
-
-
-def table_for(vdec) -> "MemoTable":
-    """The (process-wide) memo table for a compiled program, created on
-    first use and seeded from the persistent store when available."""
-    t = _TABLES.get(vdec.digest)
-    if t is None:
-        t = _TABLES[vdec.digest] = MemoTable(vdec.digest)
-        t.load()
-    # recompute-and-compare on hits whenever either sanitizer is armed;
-    # resolved once per run (table_for is called at run entry)
-    t.verify = sanitize.sanitizer_enabled() or store.verify_enabled()
-    return t
-
-
-def _fingerprint() -> str:
-    from .vcodegen import _CODEGEN_MODULES
-
-    return store.source_fingerprint(_CODEGEN_MODULES)
-
-
-class _RecordingStore:
-    """Dict-shaped proxy logging one grain execution's memory traffic.
-
-    Generated code only uses ``store.get(addr)`` (or the hoisted bound
-    method) and ``store[addr] = value``; both are intercepted.  Log
-    entries are ``(is_write, addr, value)`` with raw read values
-    (``None`` = background fill, which is pure in ``(addr, salt)``)."""
-
-    __slots__ = ("base", "log")
-
-    def __init__(self, base):
-        self.base = base
-        self.log = []
-
-    def get(self, a, default=None):
-        v = self.base.get(a, default)
-        self.log.append((False, a, v))
-        return v
-
-    def __setitem__(self, a, v):
-        self.base[a] = v
-        self.log.append((True, a, v))
-
-
-class MemoTable:
-    """Grain-delta cache for one program (see module docstring).
-
-    ``entries[key]`` is a small bucket (list) of candidate entries —
-    the same live-in key can recur under different memory contents —
-    each ``(checks, writes, regs_out, res_rec)``:
-
-    * ``checks``: ``(addrs, raw_values)`` parallel tuples — the grain's
-      read set before its own writes, validated on every hit;
-    * ``writes``: tuple of ``(addr, value)`` final memory writes;
-    * ``regs_out``: tuple of ``(reg, per-lane value tuple)`` — a
-      lane-uniform column is stored as its single value;
-    * ``res_rec``: ``None``, ``("b", outcome_bytes)`` for a branch
-      partition, or ``("r", ((ret_pc, position tuple), ...))`` for ret
-      buckets in first-seen lane order.
-    """
-
-    __slots__ = ("digest", "entries", "persisted", "hits", "misses",
-                 "verify")
-
-    def __init__(self, digest: str):
-        self.digest = digest
-        self.entries: Dict[tuple, tuple] = {}
-        self.persisted = 0
-        self.hits = 0
-        self.misses = 0
-        self.verify = False
-
-    # -- persistence ---------------------------------------------------
-    def load(self) -> None:
-        cached = store.lookup("vmemo", _fingerprint(), (self.digest,))
-        if isinstance(cached, dict):
-            self.entries.update(cached)
-            self.persisted = len(self.entries)
-
-    def flush(self) -> None:
-        """Publish the current entries to the persistent store."""
-        if not self.entries:
-            return
-        store.record("vmemo", _fingerprint(), (self.digest,),
-                     dict(self.entries))
-        self.persisted = len(self.entries)
-
-    def maybe_flush(self) -> None:
-        """Called at the end of each vector run: snapshot the table
-        once enough fresh entries accumulated."""
-        if len(self.entries) - self.persisted >= _FLUSH_DELTA:
-            self.flush()
-
-    # -- the hot path --------------------------------------------------
-    def invoke(self, meta, fn, bt, idx, R, cs, sy, pcv, hv, store_,
-               salt):
-        """Replay ``meta``'s grain for lanes ``idx`` from the cache, or
-        execute it live (through the recording proxy) and memoize."""
-        if meta.pops_ret:
-            try:
-                cstop = tuple(cs[i][-1] for i in idx)
-            except IndexError:
-                # underflow: let live execution raise exactly as before
-                return fn(idx, R, cs, sy, pcv, hv, store_, salt)
-        else:
-            cstop = None
-        n = len(idx)
-        if n > 1:
-            # itemgetter gathers one register column at C speed; a
-            # lane-uniform column (pointers, shared table bases - the
-            # common case) collapses to its single value, which hashes
-            # ~n times cheaper and cannot collide with a non-uniform
-            # gather (int != tuple) or another width (n is in the key)
-            ig = itemgetter(*idx)
-            cols = []
-            for r in meta.key_regs:
-                v = ig(R[r])
-                v0 = v[0]
-                cols.append(v0 if v.count(v0) == n else v)
-            key = (meta.name, n, salt, tuple(cols), cstop)
-        else:
-            i0 = idx[0]
-            key = (meta.name, 1, salt,
-                   tuple(R[r][i0] for r in meta.key_regs), cstop)
-        bucket = self.entries.get(key)
-        if bucket is not None:
-            g = store_.get
-            # one key can map to several entries: the same grain with
-            # the same live-in registers can observe different memory
-            # (e.g. first vs second visit in one batch), so each
-            # candidate's recorded read set is validated in turn (one
-            # C-level gather-and-compare per candidate)
-            for entry in bucket:
-                addrs, vals = entry[0]
-                if tuple(map(g, addrs)) == vals:
-                    self.hits += 1
-                    if self.verify:
-                        return self._verify_hit(entry, meta, fn, bt,
-                                                idx, R, cs, sy, pcv,
-                                                hv, store_, salt)
-                    return self._apply(entry, meta, idx, R, cs, pcv,
-                                       hv, store_)
-        self.misses += 1
-        res, fresh = self._execute(meta, fn, bt, idx, R, cs, sy, pcv,
-                                   hv, store_, salt)
-        if fresh is not None:
-            if bucket is not None:
-                if len(bucket) < _BUCKET_CAP:
-                    bucket.append(fresh)
-            elif len(self.entries) < _MEMO_CAP:
-                self.entries[key] = [fresh]
-        return res
-
-    def _execute(self, meta, fn, bt, idx, R, cs, sy, pcv, hv, store_,
-                 salt):
-        """Run the grain live and build its delta entry (or ``None``
-        when the memory log exceeds the per-entry cap)."""
-        if meta.has_mem:
-            rec = _RecordingStore(store_)
-            res = fn(idx, R, cs, sy, pcv, hv, rec, salt)
-            log = rec.log
-            if len(log) > _MEMO_MAX_OPS:
-                return res, None
-        else:
-            if bt is not None:
-                res = bounded_call(bt, fn, idx, R, cs, sy, pcv, hv,
-                                   store_, salt)
-            else:
-                res = fn(idx, R, cs, sy, pcv, hv, store_, salt)
-            log = ()
-        written = set()
-        seen = set()
-        caddrs = []
-        cvals = []
-        writes = {}
-        for w, a, v in log:
-            if w:
-                written.add(a)
-                writes[a] = v
-            elif a not in written and a not in seen:
-                seen.add(a)
-                caddrs.append(a)
-                cvals.append(v)
-        n = len(idx)
-        if n > 1:
-            # lane-uniform output columns compress to their value, as
-            # in the key (int vs tuple keeps the shape unambiguous)
-            ig = itemgetter(*idx)
-            regs_out = []
-            for r in meta.out_regs:
-                v = ig(R[r])
-                v0 = v[0]
-                regs_out.append((r, v0 if v.count(v0) == n else v))
-            regs_out = tuple(regs_out)
-        else:
-            i0 = idx[0]
-            regs_out = tuple((r, (R[r][i0],)) for r in meta.out_regs)
-        if meta.res_kind == "branch":
-            tset = set(res[0])
-            res_rec = ("b", bytes(1 if i in tset else 0 for i in idx))
-        elif meta.res_kind == "ret":
-            posmap = {i: j for j, i in enumerate(idx)}
-            res_rec = ("r", tuple((rp, tuple(posmap[i] for i in moved))
-                                  for rp, moved in res.items()))
-        else:
-            res_rec = None
-        return res, ((tuple(caddrs), tuple(cvals)),
-                     tuple(writes.items()), regs_out, res_rec)
-
-    def _apply(self, entry, meta, idx, R, cs, pcv, hv, store_):
-        """Replay a validated entry's delta and rebuild the grain's
-        return value."""
-        writes = entry[1]
-        if writes:
-            store_.update(writes)
-        n = len(idx)
-        i0 = idx[0]
-        if idx[n - 1] - i0 + 1 == n:
-            # contiguous ascending lane range: slice-assign columns
-            i1 = i0 + n
-            for r, vals in entry[2]:
-                if type(vals) is tuple:
-                    R[r][i0:i1] = vals
-                else:  # lane-uniform column, stored as its value
-                    R[r][i0:i1] = (vals,) * n
-        else:
-            for r, vals in entry[2]:
-                col = R[r]
-                if type(vals) is tuple:
-                    for j, i in enumerate(idx):
-                        col[i] = vals[j]
-                else:
-                    for i in idx:
-                        col[i] = vals
-        for t in meta.pushes:
-            for i in idx:
-                cs[i].append(t)
-        if meta.pops_ret:
-            for i in idx:
-                cs[i].pop()
-        if meta.halt_pc is not None:
-            hp = meta.halt_pc
-            for i in idx:
-                hv[i] = 1
-                pcv[i] = hp
-        rr = entry[3]
-        if rr is None:
-            return None
-        if rr[0] == "b":
-            mask = rr[1]
-            _t = []
-            _f = []
-            for j, i in enumerate(idx):
-                (_t if mask[j] else _f).append(i)
-            return _t, _f
-        out = {}
-        for rp, poss in rr[1]:
-            out[rp] = [idx[j] for j in poss]
-        return out
-
-    def _verify_hit(self, entry, meta, fn, bt, idx, R, cs, sy, pcv, hv,
-                    store_, salt):
-        """Recompute-and-compare witness: execute the grain live and
-        require the fresh delta to match the cached entry exactly."""
-        res, fresh = self._execute(meta, fn, bt, idx, R, cs, sy, pcv,
-                                   hv, store_, salt)
-        if fresh is not None and fresh != entry:
-            raise CacheVerifyError(
-                "memo: cached grain delta for %s (program %s...) "
-                "diverges from recomputation - tampered or stale entry"
-                % (meta.name, self.digest[:12]))
-        return res
+def table_for(vdec):
+    """Never called: there are no memo tables."""
+    return None

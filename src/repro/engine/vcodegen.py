@@ -71,7 +71,6 @@ from .decode import (
     _CMP_OPS,
     _rekey_entry,
 )
-from .lanes import BoundedTape
 
 #: classes that end a basic block with an explicit control transfer
 _CONTROL = (OpClass.BRANCH, OpClass.JUMP, OpClass.CALL, OpClass.RET,
@@ -97,26 +96,17 @@ class VectorProgram:
     """Per-pc batch dispatch tables (see module docstring).
 
     ``blocks[pc]`` is ``None`` off block leaders, else
-    ``(k, fn, rk_code, rk_target, has_atomic, last_atomic_off, meta,
-    tape)`` where ``k`` counts the block's instructions (terminator
-    included) and ``last_atomic_off`` is the 0-based offset of the last
-    atomic, -1 when none.  ``runs[pc]`` is ``None`` or ``(k, fn, meta,
-    tape)``.
-
-    The trailing ``meta`` slots are :class:`GrainMeta` replay metadata
-    for :mod:`repro.engine.memo` (``None`` when the grain is not
-    memoizable) and the ``tape`` slots are
-    :class:`repro.engine.lanes.BoundedTape` int64 column programs
-    (``None`` when the grain is not provably boundable).  ``digest``
-    is the program content digest keying the grain-memo table and the
-    persistent caches.
+    ``(k, fn, rk_code, rk_target, has_atomic, last_atomic_off)`` where
+    ``k`` counts the block's instructions (terminator included) and
+    ``last_atomic_off`` is the 0-based offset of the last atomic, -1
+    when none.  ``runs[pc]`` is ``None`` or ``(k, fn)``.
 
     ``chains[pc]`` is ``None`` unless a multi-block chain starts at
     ``pc``, else a longest-first tuple of candidates — the full chain
     followed by its entry-depth prefix cuts, so the executors take the
     longest candidate whose scheduling guard holds.  Each candidate is
     ``(k, fn, rk_code, rk_target, fall, bpc, has_atomic,
-    last_atomic_off, call_delta, d0_maxpc, bounds, joints, meta)``: ``k``
+    last_atomic_off, call_delta, d0_maxpc, bounds, joints)``: ``k``
     executed instructions over every covered block, the final
     terminator's re-key with its *explicit* fallthrough pc ``fall`` and
     terminator pc ``bpc`` (covered pcs are not contiguous, so the
@@ -135,7 +125,6 @@ class VectorProgram:
     chains: Tuple
     rekey: Tuple
     is_atomic: Tuple[bool, ...]
-    digest: str
 
 
 def _alu_stmts(inst, a: str, b: str, dst: str) -> List[str]:
@@ -505,271 +494,6 @@ def _chain_plan(insts, targets, leaders, start) -> List[tuple]:
              calls, d0_max, tuple(bounds), tuple(joints))] + cuts
 
 
-class GrainMeta:
-    """Replay metadata for one memoizable grain (see ``engine/memo``).
-
-    ``key_regs`` is the grain's *exact* live-in register set — a
-    syntactic read-before-write scan over the op stream, terminator
-    included (for whole-block grains this equals the CFG's
-    ``reg_use`` set, cross-checked under the sanitizer).  ``out_regs``
-    are the registers the grain may write, ``pushes`` the statically
-    known call-stack pushes in op order, ``pops_ret`` whether the
-    terminator pops the caller's frame (which also puts each lane's
-    stack top into the memo key), ``res_kind`` the return-value shape
-    (``None``/``"branch"``/``"ret"``) and ``halt_pc`` the halt
-    terminator's pc, if any.  ``has_mem`` gates the recording-store
-    proxy: grains without memory traffic skip it entirely."""
-
-    __slots__ = ("name", "k", "key_regs", "out_regs", "has_mem",
-                 "pushes", "pops_ret", "res_kind", "halt_pc")
-
-    def __init__(self, name, k, key_regs, out_regs, has_mem, pushes,
-                 pops_ret, res_kind, halt_pc):
-        self.name = name
-        self.k = k
-        self.key_regs = key_regs
-        self.out_regs = out_regs
-        self.has_mem = has_mem
-        self.pushes = pushes
-        self.pops_ret = pops_ret
-        self.res_kind = res_kind
-        self.halt_pc = halt_pc
-
-
-def _grain_meta(name: str, ops, term_pc: Optional[int], insts,
-                k: int) -> Optional[GrainMeta]:
-    """:class:`GrainMeta` for one grain's op stream, or ``None`` when
-    the grain is not memoizable: atomics are cross-batch ordering
-    points and syscalls are side effects the timing model consumes in
-    order, so both are excluded outright."""
-    rd: List[int] = []
-    rds = set()
-    dfn = set()
-    outs: List[int] = []
-    pushes: List[Tuple[int, int]] = []
-    has_mem = False
-    pops_ret = False
-    res_kind = None
-    halt_pc = None
-
-    def use(r: int) -> None:
-        if r not in dfn and r not in rds:
-            rds.add(r)
-            rd.append(r)
-
-    def define(r: int) -> None:
-        if r not in dfn:
-            dfn.add(r)
-            outs.append(r)
-
-    for op in ops:
-        kind, p = op[0], op[1]
-        if kind == "sret":  # p is the statically matched frame size
-            use(SP)
-            define(SP)
-            continue
-        if kind == "call" or kind == "scall":
-            use(SP)
-            define(SP)
-            if kind == "call":
-                pushes.append((p + 1, insts[p].imm))
-            has_mem = True  # the return-address store
-            continue
-        inst = insts[p]
-        cls = inst.cls
-        if cls is OpClass.ALU or cls is OpClass.MUL:
-            if not inst.dst:  # r0 writes dropped, ALU not evaluated
-                continue
-            srcs = inst.srcs
-            if srcs:
-                use(srcs[0])
-            if len(srcs) > 1:
-                use(srcs[1])
-            define(inst.dst)
-        elif cls is OpClass.LOAD:
-            if not inst.dst:
-                continue  # no architectural effect (mirrors decode)
-            use(inst.srcs[0])
-            define(inst.dst)
-            has_mem = True
-        elif cls is OpClass.STORE:
-            use(inst.srcs[0])
-            use(inst.srcs[1])
-            has_mem = True
-        elif cls is OpClass.ATOMIC or cls is OpClass.SYSCALL:
-            return None
-        # FENCE / NOP / SIMD: architecturally empty
-
-    if term_pc is not None:
-        term = insts[term_pc]
-        cls = term.cls
-        if cls is OpClass.BRANCH:
-            use(term.srcs[0])
-            use(term.srcs[1])
-            res_kind = "branch"
-        elif cls is OpClass.RET:
-            use(SP)
-            define(SP)
-            pops_ret = True
-            res_kind = "ret"
-        elif cls is OpClass.CALL:
-            use(SP)
-            define(SP)
-            pushes.append((term_pc + 1, term.imm))
-            has_mem = True
-        elif cls is OpClass.HALT:
-            halt_pc = term_pc
-        # JUMP terminators emit nothing (purely a re-key)
-
-    return GrainMeta(name, k, tuple(rd), tuple(outs), has_mem,
-                     tuple(pushes), pops_ret, res_kind, halt_pc)
-
-
-# -- bounded-int tape emission -----------------------------------------
-
-#: ALU mnemonics with an exact int64 column form.  shl is excluded (its
-#: explicit 64-bit mask can exceed int64), div/rem are excluded (the
-#: per-lane zero guard has no cheap column form).
-_TAPE_OPS = {
-    "add": "add", "addi": "add", "sub": "sub",
-    "and": "and", "andi": "and", "or": "or", "ori": "or",
-    "xor": "xor", "xori": "xor", "mul": "mul", "muli": "mul",
-    "min": "min", "max": "max", "slt": "slt", "slti": "slt",
-    "shr": "shr", "shri": "shr", "li": "li", "mov": "mov",
-    "hash": "hash",
-}
-
-#: candidate live-in bounds, largest first — the gate admits more lanes
-#: under a larger bound, so the emitter takes the largest that verifies
-_BOUND_LADDER = (1 << 45, 1 << 31, 1 << 23, 1 << 15)
-
-_I64_LO, _I64_HI = -(1 << 63), (1 << 63) - 1
-
-
-def _sbits(lo: int, hi: int) -> int:
-    """Smallest signed two's-complement width holding ``[lo, hi]``."""
-    w = 1
-    if hi > 0:
-        w = hi.bit_length() + 1
-    if lo < 0:
-        w = max(w, (-lo - 1).bit_length() + 1)
-    return w
-
-
-def _tape_fits(steps, term, in_regs, bound: int) -> bool:
-    """Interval analysis: with every live-in register in
-    ``[-bound, bound]``, does every intermediate stay inside int64?
-    ``hash`` is exempt by construction (its products wrap int64 but the
-    wrapped bits are masked away identically to the unbounded source),
-    and bitwise results of B-bit signed operands fit in B signed bits.
-    """
-    rng = {r: (-bound, bound) for r in in_regs}
-
-    def val(o):
-        if o[0] == "r":
-            return rng[o[1]]
-        return (o[1], o[1])
-
-    for opc, dst, a, b in steps:
-        for o in (a, b):
-            if o[0] == "i" and not (_I64_LO <= o[1] <= _I64_HI):
-                return False
-        la, ha = val(a)
-        lb, hb = val(b)
-        if opc == "add":
-            lo, hi = la + lb, ha + hb
-        elif opc == "sub":
-            lo, hi = la - hb, ha - lb
-        elif opc == "mul":
-            corners = (la * lb, la * hb, ha * lb, ha * hb)
-            lo, hi = min(corners), max(corners)
-        elif opc in ("and", "or", "xor"):
-            w = max(_sbits(la, ha), _sbits(lb, hb))
-            lo, hi = -(1 << (w - 1)), (1 << (w - 1)) - 1
-        elif opc == "min":
-            lo, hi = min(la, lb), min(ha, hb)
-        elif opc == "max":
-            lo, hi = max(la, lb), max(ha, hb)
-        elif opc == "slt":
-            lo, hi = 0, 1
-        elif opc == "shr":  # shift by 0 keeps the value; shifting only
-            lo = la if la < 0 else 0  # moves it toward 0 / -1
-            hi = ha if ha > 0 else 0
-        elif opc == "li":
-            lo, hi = lb, hb
-        elif opc == "mov":
-            lo, hi = la, ha
-        else:  # hash
-            lo, hi = 0, 0x7FFFFFFF
-        if lo < _I64_LO or hi > _I64_HI:
-            return False
-        rng[dst] = (lo, hi)
-    return True
-
-
-def _bounded_tape(ops, term_pc: Optional[int], insts):
-    """:class:`BoundedTape` for a pure-ALU grain, or ``None`` when any
-    op lacks an exact int64 form or no ladder bound verifies."""
-    steps: List[tuple] = []
-    rd: List[int] = []
-    rds = set()
-    dfn = set()
-    outs: List[int] = []
-
-    def use(r: int):
-        if r not in dfn and r not in rds:
-            rds.add(r)
-            rd.append(r)
-        return ("r", r)
-
-    for op in ops:
-        if op[0] != "pc":
-            return None  # chained call / sret: stack effects
-        inst = insts[op[1]]
-        cls = inst.cls
-        if cls in (OpClass.FENCE, OpClass.NOP, OpClass.SIMD):
-            continue
-        if cls is not OpClass.ALU and cls is not OpClass.MUL:
-            return None
-        if not inst.dst:
-            continue
-        opc = _TAPE_OPS.get(inst.op)
-        if opc is None:
-            return None
-        srcs = inst.srcs
-        a = use(srcs[0]) if srcs else ("i", 0)
-        b = use(srcs[1]) if len(srcs) > 1 else ("i", inst.imm)
-        if opc != "li" and a[0] == "i" and b[0] == "i":
-            return None  # no column operand to broadcast against
-        steps.append((opc, inst.dst, a, b))
-        dfn.add(inst.dst)
-        if inst.dst not in outs:
-            outs.append(inst.dst)
-
-    term = None
-    if term_pc is not None:
-        t = insts[term_pc]
-        if t.cls is OpClass.BRANCH:
-            term = ("branch", _CMP_OPS[t.op], use(t.srcs[0]),
-                    use(t.srcs[1]))
-        elif t.cls is OpClass.HALT:
-            term = ("halt", term_pc)
-        elif t.cls is not OpClass.JUMP:
-            return None  # CALL/RET: stack and memory effects
-
-    if not steps and term is None:
-        return None
-    # hash steps force unbounded python onto multi-hundred-bit ints, so
-    # int64 columns pay off at modest widths; short pure-arithmetic
-    # tapes only beat the gather/scatter on wide groups (lanes.py gate)
-    hot = len(steps) >= 8 or any(s[0] == "hash" for s in steps)
-    for bound in _BOUND_LADDER:
-        if _tape_fits(steps, term, rd, bound):
-            return BoundedTape(tuple(rd), tuple(outs), bound,
-                               tuple(steps), term, hot)
-    return None
-
-
 def _program_digest(program) -> str:
     """Content digest of the resolved program (instruction fields and
     resolved targets — label names don't affect semantics but the name
@@ -841,11 +565,6 @@ def _cached_source(program, cfg) -> str:
     return src
 
 
-#: below this executed-instruction count a memo key costs more to build
-#: and probe than re-executing the grain
-_MEMO_MIN_K = 4
-
-
 def compile_vector(program) -> VectorProgram:
     """Compile ``program`` into batch dispatch tables (one ``exec``)."""
     from ..isa.cfg import ControlFlowGraph
@@ -857,7 +576,6 @@ def compile_vector(program) -> VectorProgram:
     src = _cached_source(program, cfg)
     namespace = {"min": min, "max": max, "__builtins__": {}}
     exec(compile(src, f"<vdecoded:{program.name}>", "exec"), namespace)
-    san = sanitize.sanitizer_enabled()
 
     blocks: List[Optional[tuple]] = [None] * n
     chains: List[Optional[tuple]] = [None] * n
@@ -869,50 +587,22 @@ def compile_vector(program) -> VectorProgram:
         for off in range(k):
             if insts[block.start + off].cls is OpClass.ATOMIC:
                 lat_off = off
-        if insts[block.end].cls in _CONTROL:
-            bhi, bterm = block.end - 1, block.end
-        else:
-            bhi, bterm = block.end, None
-        bops = [("pc", p) for p in range(block.start, bhi + 1)]
-        meta = _grain_meta(f"_B{block.start}", bops, bterm, insts, k)
-        if san and meta is not None:
-            # the syntactic read-before-write scan over a whole block
-            # must agree with the CFG liveness computation's use set
-            sanitize.check(
-                frozenset(meta.key_regs) == cfg.reg_use(block.index),
-                "vcodegen: %s block %d grain key regs %r != CFG use %r",
-                program.name, block.index, sorted(meta.key_regs),
-                sorted(cfg.reg_use(block.index)))
-        if meta is not None and k < _MEMO_MIN_K:
-            meta = None
-        tape = _bounded_tape(bops, bterm, insts)
         blocks[block.start] = (k, namespace[f"_B{block.start}"], rk, tgt,
-                               lat_off >= 0, lat_off, meta, tape)
+                               lat_off >= 0, lat_off)
         entries = []
         for ci, plan in enumerate(_chain_plan(insts, targets, leaders,
                                               block.start)):
-            (cops, cterm, ck, crk, ctgt, fall, bpc, has_at, lat,
-             calls, d0_max, bounds, joints) = plan
             name = (f"_C{block.start}" if ci == 0
                     else f"_C{block.start}_{ci}")
-            cmeta = _grain_meta(name, cops, cterm, insts, ck)
-            if cmeta is not None and ck < _MEMO_MIN_K:
-                cmeta = None
-            entries.append((ck, namespace[name], crk, ctgt, fall, bpc,
-                            has_at, lat, calls, d0_max, bounds, joints,
-                            cmeta))
+            # the plan's source-only (ops, term_pc) give way to the
+            # compiled function; k and the guard fields follow as planned
+            entries.append((plan[2], namespace[name]) + plan[3:])
         if entries:
             chains[block.start] = tuple(entries)
     runs: List[Optional[tuple]] = [None] * n
     for first, last in _alu_runs(program, cfg):
         for p in range(first, last):
-            rops = [("pc", q) for q in range(p, last + 1)]
-            rk_ = last - p + 1
-            rmeta = _grain_meta(f"_r{p}", rops, None, insts, rk_)
-            if rmeta is not None and rk_ < _MEMO_MIN_K:
-                rmeta = None
-            runs[p] = (rk_, namespace[f"_r{p}"], rmeta,
-                       _bounded_tape(rops, None, insts))
+            runs[p] = (last - p + 1, namespace[f"_r{p}"])
     return VectorProgram(
         ghandlers=tuple(namespace[f"_g{pc}"] for pc in range(n)),
         blocks=tuple(blocks),
@@ -921,5 +611,4 @@ def compile_vector(program) -> VectorProgram:
         rekey=tuple(_rekey_entry(insts[pc], targets[pc])
                     for pc in range(n)),
         is_atomic=tuple(i.cls is OpClass.ATOMIC for i in insts),
-        digest=_program_digest(program),
     )

@@ -56,10 +56,9 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..sanitize import sanitizer_enabled
-from . import memo
 from .decode import RK_BRANCH, RK_CALL, RK_FALL, RK_HALT, RK_JUMP, RK_RET
 from .events import LockstepResult
-from .lanes import LaneState, bounded_call, bounded_enabled
+from .lanes import LaneState
 from .lockstep import ExecutionError, _san_result
 
 
@@ -147,8 +146,6 @@ def run_minsp(ex, threads, mem) -> LockstepResult:
     store = mem._store
     salt = mem.salt
     n_lanes = ls.n
-    mt = memo.table_for(vdec) if memo.memo_enabled() else None
-    bnd = bounded_enabled()
 
     steps = 0
     scalar = 0
@@ -201,8 +198,6 @@ def run_minsp(ex, threads, mem) -> LockstepResult:
         k = 0
         dd = 0
         fall = -1
-        meta = None
-        bt = None
         chl = vchains[pc]
         if chl is not None:
             if not groups:
@@ -212,7 +207,6 @@ def run_minsp(ex, threads, mem) -> LockstepResult:
                     if steps + ch[0] <= max_steps:
                         k, fn, rkc, tgt, fall, _bpc, has_at, lat, dd \
                             = ch[:9]
-                        meta = ch[12]
                         break
             elif (steps + 1 - last_atomic_step > spin_b
                     and min_sel and boost_remaining == 0):
@@ -235,15 +229,13 @@ def run_minsp(ex, threads, mem) -> LockstepResult:
                     if ok:
                         k, fn, rkc, tgt, fall, _bpc, has_at, lat, dd \
                             = ch[:9]
-                        meta = ch[12]
                         break
         if k == 0:
             vb = vblocks[pc]
             if vb is not None:
                 if not groups:
                     if steps + vb[0] <= max_steps:
-                        k, fn, rkc, tgt, has_at, lat = vb[:6]
-                        meta, bt = vb[6], vb[7]
+                        k, fn, rkc, tgt, has_at, lat = vb
                 elif (not vb[4]
                         and steps + vb[0] <= max_steps
                         and steps + 1 - last_atomic_step > spin_b
@@ -252,8 +244,7 @@ def run_minsp(ex, threads, mem) -> LockstepResult:
                         # preempt us at an interior re-key
                         and min_sel and boost_remaining == 0
                         and _interior_clear(groups, depth, pc, pc + vb[0])):
-                    k, fn, rkc, tgt, has_at, lat = vb[:6]
-                    meta, bt = vb[6], vb[7]
+                    k, fn, rkc, tgt, has_at, lat = vb
         if k == 0:
             vr = vruns[pc]
             if (vr is not None
@@ -261,7 +252,7 @@ def run_minsp(ex, threads, mem) -> LockstepResult:
                     and steps + 1 - last_atomic_step > spin_b
                     and (boost_remaining == 0 or not groups)
                     and _interior_clear(groups, depth, pc, pc + vr[0])):
-                k, fn, meta, bt = vr
+                k, fn = vr
                 rkc, tgt, has_at, lat = RK_FALL, 0, False, -1
             else:
                 k = 1
@@ -273,14 +264,7 @@ def run_minsp(ex, threads, mem) -> LockstepResult:
         if fall < 0:  # single-block grains: covered pcs are contiguous
             fall = pc + k
 
-        if mt is not None and meta is not None:
-            res = mt.invoke(meta, fn, bt if bnd else None, idx, R, cs,
-                            sy, pcv, hv, store, salt)
-        elif bt is not None and bnd:
-            res = bounded_call(bt, fn, idx, R, cs, sy, pcv, hv, store,
-                               salt)
-        else:
-            res = fn(idx, R, cs, sy, pcv, hv, store, salt)
+        res = fn(idx, R, cs, sy, pcv, hv, store, salt)
         steps += k
         scalar += k * n
         pending += k
@@ -331,8 +315,6 @@ def run_minsp(ex, threads, mem) -> LockstepResult:
                 pcv[i] = p2
                 retd[i] += pending2
 
-    if mt is not None:
-        mt.maybe_flush()
     ls.writeback(threads)
     if san:
         _san_result(prog.name, threads, retired0, scalar)
@@ -376,8 +358,6 @@ def run_ipdom(ex, threads, mem) -> LockstepResult:
     retd = ls.retired
     store = mem._store
     salt = mem.salt
-    mt = memo.table_for(vdec) if memo.memo_enabled() else None
-    bnd = bounded_enabled()
 
     steps = 0
     scalar = 0
@@ -428,8 +408,6 @@ def run_ipdom(ex, threads, mem) -> LockstepResult:
 
         k = 0
         fall = bpc = -1
-        meta = None
-        bt = None
         chl = vchains[pc]
         if chl is not None:
             # longest candidate that neither crosses the region's
@@ -446,7 +424,6 @@ def run_ipdom(ex, threads, mem) -> LockstepResult:
                         break
                 if ok:
                     k, fn, rkc, tgt, fall, bpc = ch[:6]
-                    meta = ch[12]
                     break
         if k == 0:
             vb = vblocks[pc]
@@ -457,13 +434,12 @@ def run_ipdom(ex, threads, mem) -> LockstepResult:
                 # block leaders)
                 if (steps + vb[0] <= max_steps
                         and not (pc < reconv < pc + vb[0])):
-                    k, fn, rkc, tgt = vb[0], vb[1], vb[2], vb[3]
-                    meta, bt = vb[6], vb[7]
+                    k, fn, rkc, tgt = vb[:4]
         if k == 0:
             vr = vruns[pc]
             if (vr is not None and steps + vr[0] <= max_steps
                     and not (pc < reconv < pc + vr[0])):
-                k, fn, meta, bt = vr
+                k, fn = vr
                 rkc, tgt = RK_FALL, 0
             else:
                 k = 1
@@ -474,14 +450,7 @@ def run_ipdom(ex, threads, mem) -> LockstepResult:
             fall = pc + k
             bpc = pc + k - 1
 
-        if mt is not None and meta is not None:
-            res = mt.invoke(meta, fn, bt if bnd else None, idx, R, cs,
-                            sy, pcv, hv, store, salt)
-        elif bt is not None and bnd:
-            res = bounded_call(bt, fn, idx, R, cs, sy, pcv, hv, store,
-                               salt)
-        else:
-            res = fn(idx, R, cs, sy, pcv, hv, store, salt)
+        res = fn(idx, R, cs, sy, pcv, hv, store, salt)
         steps += k
         scalar += k * n
         for i in idx:
@@ -556,8 +525,6 @@ def run_ipdom(ex, threads, mem) -> LockstepResult:
                 for i in moved:
                     pcv[i] = p2
 
-    if mt is not None:
-        mt.maybe_flush()
     ls.writeback(threads)
     if san:
         _san_result(prog.name, threads, retired0, scalar)

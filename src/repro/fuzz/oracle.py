@@ -9,14 +9,6 @@ For one spec the oracle runs the program
   the ``execute()``-based reference loop, asserting bit-identical
   registers, memory, syscall traces, call stacks and
   ``LockstepResult`` counters;
-* a second, identical fast-path run per lockstep policy: the first run
-  populated the grain-memo tables (:mod:`repro.engine.memo`), so the
-  repeat is dominated by memoized replay and must still be
-  bit-identical - plus a witness run with ``REPRO_MEMO=0`` and
-  ``REPRO_BOUNDED=0``, pinning that neither memoization nor the
-  bounded-int lanes are architecturally visible (a
-  :class:`~repro.store.CacheVerifyError` raised by a poisoned memo
-  entry counts as a mismatch, not a crash);
 * once more per policy with an event-recording sink under *both*
   engines (the fast path keeps pre-decoded dispatch when a sink is
   attached), asserting the two sink runs match each other and the
@@ -40,10 +32,8 @@ smaller parameters) and written out as a standalone repro file.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import dataclasses
-import os
 import pprint
 import random
 from typing import Dict, List, Optional
@@ -56,35 +46,14 @@ from ..engine.memory import MemoryImage
 from ..engine.thread import ThreadState
 from ..memsys.alloc import SimrAwareAllocator
 from ..sanitize import SanitizerError
-from ..store import CacheVerifyError
 from ..workloads.base import Request
 from .gen import (GeneratorError, build_program, spec_is_racy,
                   spec_policies, spec_reconv_override)
 
 POLICIES = ("solo", "ipdom", "minsp_pc", "predicated")
 
-#: exception types the oracle reports as mismatches (a poisoned memo
-#: entry surfacing as CacheVerifyError is a detected divergence, not
-#: an oracle crash)
-_ORACLE_ERRORS = (ExecutionError, SanitizerError, CacheVerifyError)
-
-
-@contextlib.contextmanager
-def _fastpath_features_off():
-    """Run with grain memoization and bounded-int lanes disabled (the
-    witness legs); restores the prior environment on exit."""
-    saved = {k: os.environ.get(k) for k in ("REPRO_MEMO",
-                                            "REPRO_BOUNDED")}
-    os.environ["REPRO_MEMO"] = "0"
-    os.environ["REPRO_BOUNDED"] = "0"
-    try:
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+#: exception types the oracle reports as mismatches, not crashes
+_ORACLE_ERRORS = (ExecutionError, SanitizerError)
 
 #: observable state compared between runs of the *same* policy
 _FIELDS = ("snapshots", "syscalls", "call_stacks", "memory", "result")
@@ -268,28 +237,6 @@ def check_spec(spec: Dict,
                             max_steps=max_steps)
             ref = _run_one(spec, policy, fastpath=False,
                            max_steps=max_steps)
-            if policy != "solo":
-                # memo-replay leg: the first fast run populated the
-                # grain-memo tables for this program digest, so this
-                # repeat is served by cached-delta replay and must be
-                # bit-identical to live execution
-                replay = _run_one(spec, policy, fastpath=True,
-                                  max_steps=max_steps)
-                for fld in _FIELDS:
-                    if replay[fld] != fast[fld]:
-                        mismatches.append(
-                            f"{policy}: memo-replay run {fld} diverges "
-                            f"from first fast-path run")
-                # witness leg: memoization and bounded-int lanes off
-                # must not be architecturally visible
-                with _fastpath_features_off():
-                    plain = _run_one(spec, policy, fastpath=True,
-                                     max_steps=max_steps)
-                for fld in _FIELDS:
-                    if plain[fld] != fast[fld]:
-                        mismatches.append(
-                            f"{policy}: memo/bounded-off witness {fld} "
-                            f"diverges from default fast path")
             for fld in _FIELDS:
                 if fast[fld] != ref[fld]:
                     mismatches.append(

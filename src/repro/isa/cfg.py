@@ -11,40 +11,12 @@ function, never across its return.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
-from .instructions import SP, Instruction, OpClass
+from .instructions import OpClass
 from .program import Program
 
 EXIT = -1  # virtual exit node id
-
-
-def inst_uses_defs(inst: Instruction) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """``(uses, defs)`` register sets of one instruction, mirroring the
-    execution engines exactly: ALU/MUL/LOAD with a dropped ``r0`` (or
-    absent) destination are never evaluated, immediate operand forms
-    read only ``srcs[0]``, and CALL/RET carry an implicit stack-pointer
-    update (``SP -= frame`` / ``SP += frame``).  JUMP/HALT/FENCE/NOP/
-    SIMD/SYSCALL touch no architectural registers."""
-    cls = inst.cls
-    if cls is OpClass.ALU or cls is OpClass.MUL:
-        if not inst.dst:  # r0 writes dropped, ALU not evaluated
-            return (), ()
-        return tuple(inst.srcs), (inst.dst,)
-    if cls is OpClass.LOAD:
-        if not inst.dst:  # no architectural effect (mirrors decode)
-            return (), ()
-        return (inst.srcs[0],), (inst.dst,)
-    if cls is OpClass.STORE:
-        return (inst.srcs[0], inst.srcs[1]), ()
-    if cls is OpClass.ATOMIC:
-        uses = (inst.srcs[0], inst.srcs[1])
-        return uses, ((inst.dst,) if inst.dst else ())
-    if cls is OpClass.BRANCH:
-        return (inst.srcs[0], inst.srcs[1]), ()
-    if cls is OpClass.CALL or cls is OpClass.RET:
-        return (SP,), (SP,)
-    return (), ()
 
 
 @dataclass
@@ -65,7 +37,6 @@ class ControlFlowGraph:
         self._build_blocks()
         self._ipdom_block = self._compute_ipdom()
         self._branch_reconv = self._compute_branch_reconvergence()
-        self._liveness: Optional[Tuple[list, list, list, list]] = None
 
     # ------------------------------------------------------------------
     def _build_blocks(self) -> None:
@@ -199,80 +170,6 @@ class ControlFlowGraph:
             else:
                 out[block.end] = self.blocks[d].start
         return out
-
-    # ------------------------------------------------------------------
-    def _compute_liveness(self) -> Tuple[list, list, list, list]:
-        """Per-block register liveness: ``use`` (read before any local
-        write), ``def`` (written), and the backward-dataflow fixpoint
-        ``live_in = use ∪ (live_out − def)`` /
-        ``live_out = ∪ live_in(succ)``.
-
-        Intraprocedural like the rest of this class: a CALL block falls
-        through to its return point, so callee-clobbered registers stay
-        conservatively live across the call site.  The vector engine's
-        memo keys use the *exact* per-grain read set (a syntactic
-        read-before-write scan in ``engine/vcodegen``); for whole-block
-        grains that scan equals ``reg_use`` here by construction —
-        ``use(b) ⊆ live_in(b)`` — and the sanitizer cross-checks the
-        two computations against each other.
-        """
-        insts = self.program.instructions
-        use: List[set] = []
-        defs: List[set] = []
-        for block in self.blocks:
-            u: set = set()
-            d: set = set()
-            for pc in range(block.start, block.end + 1):
-                iu, idf = inst_uses_defs(insts[pc])
-                for r in iu:
-                    if r not in d:
-                        u.add(r)
-                d.update(idf)
-            use.append(u)
-            defs.append(d)
-        live_in = [set(u) for u in use]
-        live_out: List[set] = [set() for _ in self.blocks]
-        changed = True
-        while changed:
-            changed = False
-            for block in reversed(self.blocks):
-                i = block.index
-                out: set = set()
-                for s in block.successors:
-                    if s != EXIT:
-                        out |= live_in[s]
-                ni = use[i] | (out - defs[i])
-                if out != live_out[i] or ni != live_in[i]:
-                    live_out[i] = out
-                    live_in[i] = ni
-                    changed = True
-        self._liveness = (
-            [frozenset(s) for s in use],
-            [frozenset(s) for s in defs],
-            [frozenset(s) for s in live_in],
-            [frozenset(s) for s in live_out],
-        )
-        return self._liveness
-
-    def reg_use(self, block_index: int) -> frozenset:
-        """Registers block ``block_index`` reads before writing."""
-        live = self._liveness or self._compute_liveness()
-        return live[0][block_index]
-
-    def reg_def(self, block_index: int) -> frozenset:
-        """Registers block ``block_index`` writes."""
-        live = self._liveness or self._compute_liveness()
-        return live[1][block_index]
-
-    def reg_live_in(self, block_index: int) -> frozenset:
-        """Registers live on entry to block ``block_index``."""
-        live = self._liveness or self._compute_liveness()
-        return live[2][block_index]
-
-    def reg_live_out(self, block_index: int) -> frozenset:
-        """Registers live on exit from block ``block_index``."""
-        live = self._liveness or self._compute_liveness()
-        return live[3][block_index]
 
     # ------------------------------------------------------------------
     def block_of(self, pc: int) -> BasicBlock:

@@ -116,86 +116,3 @@ def test_ipdom_of_exit_block():
     cfg = ControlFlowGraph(program)
     last = cfg.block_of(len(program) - 1)
     assert cfg.ipdom_of_block(last.index) == EXIT
-
-
-# ----------------------------------------------------------------------
-# register liveness (backward dataflow over the block graph)
-
-
-def build_live_diamond():
-    b = ProgramBuilder("live")
-    b.li("r1", 1)                 # 0  entry
-    b.li("r5", 7)                 # 1
-    b.beq("r1", "zero", "else_")  # 2
-    b.addi("r2", "r5", 1)         # 3  then
-    b.jmp("join")                 # 4
-    b.label("else_")
-    b.mov("r2", "r5")             # 5  else
-    b.label("join")
-    b.add("r3", "r2", "r5")       # 6  join
-    b.halt()                      # 7
-    return b.build()
-
-
-def test_liveness_use_def_sets():
-    program = build_live_diamond()
-    cfg = ControlFlowGraph(program)
-    entry = cfg.block_of(0).index
-    join = cfg.block_of(6).index
-    # r1 is defined before the branch reads it, so only r0 survives the
-    # read-before-write scan of the entry block
-    assert cfg.reg_use(entry) == frozenset({0})
-    assert cfg.reg_def(entry) == frozenset({1, 5})
-    assert cfg.reg_use(join) == frozenset({2, 5})
-    assert cfg.reg_def(join) == frozenset({3})
-
-
-def test_liveness_fixpoint_across_arms():
-    program = build_live_diamond()
-    cfg = ControlFlowGraph(program)
-    entry = cfg.block_of(0).index
-    then = cfg.block_of(3).index
-    els = cfg.block_of(5).index
-    join = cfg.block_of(6).index
-    # r5 flows from the entry through both arms into the join; r2 is
-    # killed by each arm before the join reads it
-    assert cfg.reg_live_out(entry) == frozenset({5})
-    assert cfg.reg_live_in(then) == frozenset({5})
-    assert cfg.reg_live_in(els) == frozenset({5})
-    assert cfg.reg_live_in(join) == frozenset({2, 5})
-    assert cfg.reg_live_out(join) == frozenset()
-
-
-def test_liveness_call_ret_implicit_sp():
-    from repro.isa.instructions import SP
-
-    b = ProgramBuilder("callsp")
-    b.li("r1", 5)          # 0
-    b.call("fn", frame=16)  # 1
-    b.halt()               # 2
-    b.label("fn")
-    b.add("r2", "r1", "r1")  # 3
-    b.ret()                # 4
-    program = b.build()
-    cfg = ControlFlowGraph(program)
-    caller = cfg.block_of(1).index
-    callee = cfg.block_of(4).index
-    # CALL and RET both read and write the stack pointer implicitly
-    assert SP in cfg.reg_use(caller)
-    assert SP in cfg.reg_def(caller)
-    assert SP in cfg.reg_use(callee)
-    assert SP in cfg.reg_def(callee)
-    # r1 stays live across the call site into the callee body
-    assert 1 in cfg.reg_live_in(cfg.block_of(3).index)
-
-
-def test_liveness_dropped_r0_writes_have_no_effect():
-    from repro.isa.cfg import inst_uses_defs
-
-    b = ProgramBuilder("r0drop")
-    b.add("zero", "r4", "r5")  # 0: dropped, never evaluated
-    b.halt()                   # 1
-    program = b.build()
-    assert inst_uses_defs(program.instructions[0]) == ((), ())
-    cfg = ControlFlowGraph(program)
-    assert cfg.reg_use(cfg.block_of(0).index) == frozenset()

@@ -1,6 +1,5 @@
 """Parallel experiment driver: determinism and serial/parallel parity."""
 
-import dataclasses
 import os
 import signal
 import subprocess
@@ -10,7 +9,6 @@ import pytest
 
 import repro
 
-from repro.core.run import BatchTask, run_batch_task, run_batch_tasks
 from repro.experiments.common import (
     WorkerTaskError,
     parallel_map,
@@ -138,25 +136,6 @@ def test_task_seed_is_deterministic_and_distinct():
              for chip in ("cpu", "rpu")
              for batch in range(4)}
     assert len(seeds) == 16  # no collisions across the sweep
-
-
-def test_batch_tasks_parallel_is_bit_identical():
-    tasks = [
-        BatchTask("memcached", 8, task_seed("memcached", b))
-        for b in range(3)
-    ] + [
-        BatchTask("urlshort", 8, task_seed("urlshort", 0), policy="ipdom"),
-    ]
-    serial = run_batch_tasks(tasks, jobs=1)
-    parallel = run_batch_tasks(tasks, jobs=2)
-    assert [dataclasses.asdict(r) for r in serial] == \
-        [dataclasses.asdict(r) for r in parallel]
-
-
-def test_batch_task_carries_its_own_seed():
-    a = run_batch_task(BatchTask("memcached", 8, 1))
-    b = run_batch_task(BatchTask("memcached", 8, 2))
-    assert dataclasses.asdict(a) != dataclasses.asdict(b)
 
 
 @pytest.mark.parametrize("flags", [[], ["--jobs", "2"]])

@@ -2,11 +2,10 @@
 
 The vectorized structure-of-arrays engine (``REPRO_VECTOR=1``, the
 default) must be *bit-identical* to the per-thread fast path it
-replaced (``REPRO_VECTOR=0``) under every policy - with the numpy
-backend, with the stdlib ``array`` backend (``REPRO_VECTOR_NUMPY=0``),
-and on an interpreter where numpy is not importable at all.  The same
-holds under the sanitizer and under step-budget truncation, and the
+replaced (``REPRO_VECTOR=0``) under every policy.  The same holds
+under the sanitizer and under step-budget truncation, and the
 generated-source cache must be provably keyed on program content.
+``run_batch`` without a sink must actually reach the vector engine.
 """
 
 import dataclasses
@@ -15,12 +14,13 @@ import random
 import pytest
 
 from repro import store
-from repro.core.run import prepare_threads
-from repro.engine import lanes, vcodegen
+from repro.core.run import prepare_threads, run_batch
+from repro.engine import vcodegen, vector
 from repro.engine.lockstep import make_executor
 from repro.engine.memory import MemoryImage
 from repro.memsys.alloc import SimrAwareAllocator
 from repro.sanitize import SanitizerError
+from repro.timing import ListSink
 from repro.workloads.registry import get_service
 
 POLICIES = ["solo", "ipdom", "minsp_pc", "predicated"]
@@ -70,25 +70,6 @@ def test_vector_matches_scalar_fallback(policy, monkeypatch):
     _assert_same(vec, _run(policy, salt=1))
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_array_backend_matches_numpy(policy, monkeypatch):
-    monkeypatch.delenv("REPRO_VECTOR_NUMPY", raising=False)
-    default = _run(policy, salt=2)
-    monkeypatch.setenv("REPRO_VECTOR_NUMPY", "0")
-    assert lanes.backend_name() == "array"
-    _assert_same(default, _run(policy, salt=2))
-
-
-@pytest.mark.parametrize("policy", ["ipdom", "minsp_pc"])
-def test_numpy_absent_interpreter(policy, monkeypatch):
-    """With numpy made unimportable the engine silently runs on the
-    stdlib ``array`` backend and stays bit-identical."""
-    baseline = _run(policy, salt=3)
-    monkeypatch.setattr(lanes, "_NUMPY", False)
-    assert lanes.backend_name() == "array"
-    _assert_same(baseline, _run(policy, salt=3))
-
-
 @pytest.mark.parametrize("policy", ["ipdom", "minsp_pc", "predicated"])
 def test_sanitized_vector_run(policy, monkeypatch):
     """REPRO_SANITIZE=1 turns on the lane/mask/cache invariants; a
@@ -109,6 +90,41 @@ def test_truncation_matches_scalar_fallback(policy, max_steps,
     vec = _run(policy, salt=5, max_steps=max_steps)
     monkeypatch.setenv("REPRO_VECTOR", "0")
     _assert_same(vec, _run(policy, salt=5, max_steps=max_steps))
+
+
+def _count_vector_entries(monkeypatch):
+    """Wrap both vector-engine entry points; returns the call counter."""
+    calls = {"run_ipdom": 0, "run_minsp": 0}
+    for name in calls:
+        real = getattr(vector, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(vector, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("policy,entry", [("ipdom", "run_ipdom"),
+                                          ("minsp_pc", "run_minsp")])
+def test_run_batch_dispatches_to_vector_engine(policy, entry,
+                                               monkeypatch):
+    """A sink-free ``run_batch`` enters the vector engine exactly once;
+    an attached sink or ``REPRO_VECTOR=0`` keeps it on the scalar loop.
+    This is what a silent fallback to the scalar loop would break."""
+    monkeypatch.delenv("REPRO_VECTOR", raising=False)
+    calls = _count_vector_entries(monkeypatch)
+    service = get_service(SERVICE)
+    batch = service.generate_requests(N_REQUESTS,
+                                      random.Random(REQUEST_SEED))
+    run_batch(service, batch, policy=policy)
+    assert calls[entry] == 1 and sum(calls.values()) == 1
+    run_batch(service, batch, policy=policy, sink=ListSink())
+    assert sum(calls.values()) == 1
+    monkeypatch.setenv("REPRO_VECTOR", "0")
+    run_batch(service, batch, policy=policy)
+    assert sum(calls.values()) == 1
 
 
 def test_vector_program_has_superblock_grains():
