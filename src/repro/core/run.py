@@ -13,12 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..engine.events import LockstepResult, StepSink
-from ..engine.lockstep import (
-    IpdomExecutor,
-    MinSpPcExecutor,
-    PredicatedExecutor,
-    SoloExecutor,
-)
+from ..engine.lockstep import SoloExecutor, make_executor
 from ..engine.memory import MemoryImage
 from ..engine.thread import ThreadState
 from ..memsys.alloc import BaseAllocator, SimrAwareAllocator
@@ -52,25 +47,20 @@ def run_batch(
     max_steps: int = 4_000_000,
     fastpath: bool = True,
 ) -> LockstepResult:
-    """Execute one batch of requests in lockstep on one RPU core."""
+    """Execute one batch of requests in lockstep on one RPU core.
+
+    ``policy`` is ``"ipdom"``, ``"minsp_pc"`` or ``"predicated"``;
+    anything else (``"solo"`` included) raises :class:`ValueError`.
+    """
+    if policy == "solo":
+        raise ValueError(f"unknown lockstep policy {policy!r}")
+    opts = dict(sink=sink, max_steps=max_steps, fastpath=fastpath)
+    if policy != "minsp_pc":  # MinSP-PC reconverges without a stack
+        opts["reconv_override"] = reconv_override
     mem = MemoryImage(salt=salt)
     threads = prepare_threads(service, requests, mem,
                               allocator or SimrAwareAllocator())
-    program = service.program
-    if policy == "ipdom":
-        ex = IpdomExecutor(program, sink=sink, max_steps=max_steps,
-                           reconv_override=reconv_override,
-                           fastpath=fastpath)
-    elif policy == "minsp_pc":
-        ex = MinSpPcExecutor(program, sink=sink, max_steps=max_steps,
-                             fastpath=fastpath)
-    elif policy == "predicated":
-        ex = PredicatedExecutor(program, sink=sink, max_steps=max_steps,
-                                reconv_override=reconv_override,
-                                fastpath=fastpath)
-    else:
-        raise ValueError(f"unknown lockstep policy {policy!r}")
-    return ex.run(threads, mem)
+    return make_executor(service.program, policy, **opts).run(threads, mem)
 
 
 def run_solo(

@@ -20,7 +20,7 @@ from .config import (
 )
 from .core import CoreModel, CoreRunResult, StreamResult
 from .memhier import Counters, MemoryHierarchy
-from .streams import ListSink, batch_trace, solo_traces
+from .streams import ListSink
 
 __all__ = [
     "BpredStats",
@@ -40,10 +40,8 @@ __all__ = [
     "RPU_CONFIG",
     "SMT8_CONFIG",
     "StreamResult",
-    "batch_trace",
     "rpu_with_batches",
     "rpu_with_lanes",
     "rpu_without",
     "run_chip",
-    "solo_traces",
 ]

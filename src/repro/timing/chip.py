@@ -10,26 +10,20 @@ single-node Accel-Sim runs.
 * RPU      - batches (from the SIMR-aware server) run in lockstep.
 * GPU      - 16 warps (batches) are resident and interleave in-order.
 
-Two execution strategies produce bit-identical results:
-
-* ``streaming=True`` (default): executor events flow through a
-  :class:`~repro.timing.streams.TimingSink` straight into an
-  incremental :class:`~repro.timing.core.CoreRun`, so traces are never
-  materialized;
-* ``streaming=False``: the original materialize-then-``CoreModel.run``
-  pipeline, kept as the reference for differential checking.
+Executor events reach the timing model one way: each executor run
+drives a :class:`~repro.timing.streams.TimingSink` that feeds an
+in-progress :class:`~repro.timing.core.CoreRun`, so no trace is ever
+materialized outside it.
 
 Whole *timed* results are persisted in the content-addressed store
 (:mod:`repro.store`): a ``run_chip`` call whose (service, population,
 config, policy, batching, allocator, reconvergence, warmup) tuple was
 ever simulated before - by any process, figure or fork worker with
 identical source - returns the stored :class:`ChipResult` without
-touching the executor or the timing model.  Only the default
-``streaming=True`` path participates: the materialized path is the
-differential *reference* and must always compute live.  Callers
-supplying a bespoke ``allocator_factory`` bypass the store (allocator
-behaviour is part of a result's identity and arbitrary factories
-cannot be fingerprinted) unless they vouch for the factory by passing
+touching the executor or the timing model.  Callers supplying a
+bespoke ``allocator_factory`` bypass the store (allocator behaviour is
+part of a result's identity and arbitrary factories cannot be
+fingerprinted) unless they vouch for the factory by passing
 ``allocator_signature`` - the (class name, n_banks) tuple that keys
 the entry - asserting that those two values fully determine the
 factory's allocation behaviour.  ``REPRO_CACHE_VERIFY=1`` recomputes
@@ -47,14 +41,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import sanitize
 from .. import store as disk_store
 from ..batching.policies import form_batches
+from ..core.run import run_batch
 from ..memsys.alloc import (BaseAllocator, DefaultAllocator,
                             SimrAwareAllocator)
 from ..workloads.base import Microservice, Request
 from .config import CoreConfig
 from .core import CoreModel
 from .memhier import Counters
-from .streams import (SoloRunner, TimingSink, batch_trace, run_batch,
-                      solo_traces)
+from .streams import SoloRunner, TimingSink
 
 #: executor step budgets (also part of the timed-result key)
 SOLO_MAX_STEPS = 2_000_000
@@ -163,7 +157,6 @@ def run_chip(
     allocator_factory=None,
     allocator_signature: Optional[tuple] = None,
     warmup_frac: float = 0.2,
-    streaming: bool = True,
 ) -> ChipResult:
     """Simulate ``requests`` on one core of ``config``; scale to chip.
 
@@ -184,7 +177,7 @@ def run_chip(
                 alloc_sig)
     stored = disk_store.MISS
     timed_key = None
-    if streaming and cacheable:
+    if cacheable:
         timed_key = _timed_key(service, requests, config, policy, batching,
                                batch_size, reconv_override, warmup_frac,
                                alloc_sig)
@@ -204,14 +197,14 @@ def run_chip(
 
     if config.batch_size <= 1 and config.hw_contexts == 1:
         _run_mimd_sequential(core, service, requests, make_alloc, out,
-                             warmup_frac, streaming)
+                             warmup_frac)
     elif config.batch_size <= 1:
         _run_smt(core, config, service, requests, make_alloc, out,
-                 warmup_frac, streaming)
+                 warmup_frac)
     else:
         _run_simt(core, config, service, requests, make_alloc, out,
                   policy, batching, batch_size, reconv_override,
-                  warmup_frac, streaming)
+                  warmup_frac)
 
     out.counters = core.all_counters()
     out.scalar_instructions = int(out.counters["scalar_instructions"])
@@ -242,21 +235,8 @@ def _solo_runner(core, service, make_alloc) -> SoloRunner:
 
 
 def _run_mimd_sequential(core, service, requests, make_alloc, out,
-                         warmup_frac, streaming):
+                         warmup_frac):
     out.batch_size = 1
-    if not streaming:
-        traces = solo_traces(service, requests, allocator=make_alloc(),
-                             pool_size=core.cfg.worker_pool)
-        n_warm = int(len(traces) * warmup_frac)
-        t0 = core.now
-        for i, trace in enumerate(traces):
-            if i == n_warm:
-                t0 = _end_warmup(core, out, len(traces) - n_warm)
-            res = core.run([trace])
-            out.latencies_cycles.append(res.cycles)
-        out.core_cycles = core.now - t0
-        return
-
     runner = _solo_runner(core, service, make_alloc)
     n_warm = int(len(requests) * warmup_frac)
     t0 = core.now
@@ -271,24 +251,9 @@ def _run_mimd_sequential(core, service, requests, make_alloc, out,
 
 
 def _run_smt(core, config, service, requests, make_alloc, out,
-             warmup_frac, streaming):
+             warmup_frac):
     out.batch_size = 1
     smt = config.hw_contexts
-    if not streaming:
-        traces = solo_traces(service, requests, allocator=make_alloc(),
-                             pool_size=core.cfg.worker_pool)
-        groups = [traces[i:i + smt] for i in range(0, len(traces), smt)]
-        n_warm = int(len(groups) * warmup_frac)
-        warm_traces = sum(len(g) for g in groups[:n_warm])
-        t0 = core.now
-        for i, group in enumerate(groups):
-            if i == n_warm:
-                t0 = _end_warmup(core, out, len(traces) - warm_traces)
-            res = core.run(group)
-            out.latencies_cycles.extend(s.cycles for s in res.streams)
-        out.core_cycles = core.now - t0
-        return
-
     runner = _solo_runner(core, service, make_alloc)
     groups = [requests[i:i + smt] for i in range(0, len(requests), smt)]
     n_warm = int(len(groups) * warmup_frac)
@@ -313,46 +278,18 @@ def _run_smt(core, config, service, requests, make_alloc, out,
 
 def _run_simt(core, config, service, requests, make_alloc, out,
               policy, batching, batch_size, reconv_override,
-              warmup_frac, streaming):
+              warmup_frac):
     bs = batch_size or min(service.recommended_batch, config.batch_size)
     out.batch_size = bs
     batches = form_batches(requests, bs, batching)
     warps = config.hw_contexts  # 1 for RPU, 16 for GPU
-
-    if not streaming:
-        traced = []
-        effs: List[float] = []
-        for batch in batches:
-            events, result = batch_trace(
-                service, batch, policy=policy, allocator=make_alloc(),
-                reconv_override=reconv_override,
-            )
-            traced.append((events, len(batch)))
-            effs.append(result.simt_efficiency)
-        out.simt_efficiency = sum(effs) / len(effs) if effs else 1.0
-
-        rounds = [traced[i:i + warps] for i in range(0, len(traced), warps)]
-        n_warm = int(len(rounds) * warmup_frac)
-        if n_warm == 0 and len(rounds) > 1 and warmup_frac > 0:
-            n_warm = 1
-        warm_requests = sum(n for grp in rounds[:n_warm] for _e, n in grp)
-        t0 = core.now
-        for i, group in enumerate(rounds):
-            if i == n_warm:
-                t0 = _end_warmup(core, out, len(requests) - warm_requests)
-            res = core.run([ev for ev, _n in group], batched=True)
-            for (_, n_req), stream in zip(group, res.streams):
-                # every request in a batch completes when its batch does
-                out.latencies_cycles.extend([stream.cycles] * n_req)
-        out.core_cycles = core.now - t0
-        return
 
     rounds = [batches[i:i + warps] for i in range(0, len(batches), warps)]
     n_warm = int(len(rounds) * warmup_frac)
     if n_warm == 0 and len(rounds) > 1 and warmup_frac > 0:
         n_warm = 1
     warm_requests = sum(len(b) for grp in rounds[:n_warm] for b in grp)
-    effs = []
+    effs: List[float] = []
     t0 = core.now
     for i, group in enumerate(rounds):
         if i == n_warm:
@@ -360,8 +297,9 @@ def _run_simt(core, config, service, requests, make_alloc, out,
         run = core.begin(len(group), batched=True)
         sizes = []
         for j, batch in enumerate(group):
-            result = run_batch(service, batch, TimingSink(run, j),
-                               policy=policy, allocator=make_alloc(),
+            result = run_batch(service, batch, policy=policy,
+                               sink=TimingSink(run, j),
+                               allocator=make_alloc(),
                                reconv_override=reconv_override,
                                max_steps=BATCH_MAX_STEPS)
             effs.append(result.simt_efficiency)

@@ -15,16 +15,18 @@ an interval-style approximation of Accel-Sim's extended pipeline:
 * branch mispredictions bubble that context's fetch; syscalls
   serialize it; loads go through the full memory hierarchy model.
 
-Two entry points share one event-processing engine:
+Two entry points share one event-processing engine and one
+round-robin sweep:
 
 * :meth:`CoreModel.run` consumes fully materialized event streams
-  round-robin (tests, differential checks);
+  (tests use it as the oracle of the per-instruction event protocol);
 * :meth:`CoreModel.begin` returns a :class:`CoreRun` that accepts
-  events *incrementally* (``feed``/``close``/``finish``), which is how
-  ``run_chip`` streams executor events straight into the timing model
-  without materializing them first.  Single-context runs process each
-  fed event immediately; multi-context runs buffer per context and
-  drain in strict round-robin sweep order, so the issue interleaving -
+  events as an executor emits them (``feed``/``finish``), which is how
+  ``run_chip`` times a run.  A single-context run processes each fed
+  event immediately.  A multi-context run (SMT threads, GPU warps)
+  only buffers each event in its context's list, because executors run
+  one context after another; ``finish()`` then hands the lists to the
+  same sweep :meth:`CoreModel.run` uses, so the issue interleaving -
   and therefore every cycle and counter - is identical to
   materialize-then-``run`` by construction.
 
@@ -106,20 +108,19 @@ class CoreRun:
     """One in-progress core run fed events incrementally.
 
     Produced by :meth:`CoreModel.begin`.  ``feed(ctx, ...)`` submits one
-    event for hardware context ``ctx``; ``close(ctx)`` marks that
-    context's stream exhausted; ``finish()`` drains everything, updates
-    the core clock and counters and returns the :class:`CoreRunResult`.
+    event for hardware context ``ctx``; ``finish()`` processes whatever
+    is buffered, updates the core clock and counters and returns the
+    :class:`CoreRunResult`.
 
     ``addrs``/``outcomes`` passed to :meth:`feed` are only borrowed for
-    the duration of the call on the single-context fast path; on the
-    multi-context path they are copied into the per-context buffer.
+    the duration of the call (executors reuse their ``addrs`` list), so
+    a multi-context run copies them into the context's buffer.
     """
 
     __slots__ = (
         "core", "cfg", "mem", "batched", "start",
         "contexts", "preds", "_counters", "_process", "_snapshot",
-        "_single", "_bufs", "_closed", "_dead", "_alive", "_rr",
-        "_finished",
+        "_bufs", "_finished",
     )
 
     def __init__(self, core: "CoreModel", n_contexts: int, batched: bool):
@@ -136,81 +137,48 @@ class CoreRun:
         # only ever happen between runs), and the float sums are seeded
         # from and written back to the object the integer flush targets
         self._counters = core.counters
-        self._single = n_contexts == 1
-        self._bufs = (None if self._single
-                      else [deque() for _ in range(n_contexts)])
-        self._closed = [False] * n_contexts
-        self._dead = [False] * n_contexts
-        self._alive = n_contexts
-        self._rr = 0
+        #: per-context event buffers; None when events are processed
+        #: as they arrive (one context)
+        self._bufs: Optional[List[List[Event]]] = (
+            None if n_contexts == 1 else [[] for _ in range(n_contexts)])
         self._finished = False
         self._process, self._snapshot = self._build_engine()
 
     # ------------------------------------------------------------------
     def feed(self, ctx: int, pc, inst, active, addrs, outcomes) -> None:
         """Submit one event for context ``ctx`` (in stream order)."""
-        if self._single:
+        bufs = self._bufs
+        if bufs is None:
             self._process(0, pc, inst, active, addrs, outcomes)
             return
-        self._bufs[ctx].append(
-            (pc, inst, active, tuple(addrs),
-             tuple(outcomes) if outcomes else None))
-        if ctx == self._rr:
-            self._pump()
+        bufs[ctx].append((pc, inst, active, tuple(addrs),
+                          tuple(outcomes) if outcomes else None))
 
-    def close(self, ctx: int) -> None:
-        """Mark context ``ctx``'s stream exhausted."""
-        self._closed[ctx] = True
-        if not self._single:
-            self._pump()
-
-    def _pump(self) -> None:
-        """Drain buffered events in round-robin sweep order.
-
-        Processes one event per live context per sweep (exactly the
-        consumption order of :meth:`CoreModel.run` over materialized
-        streams), suspending when the next context in the sweep has no
-        buffered event and is not yet closed.
-        """
-        bufs = self._bufs
-        closed = self._closed
-        dead = self._dead
-        alive = self._alive
-        i = self._rr
-        n = len(bufs)
-        while alive:
-            if dead[i]:
-                i += 1
-                if i == n:
-                    i = 0
-                continue
-            buf = bufs[i]
-            if buf:
-                ev = buf.popleft()
-                self._process(i, ev[0], ev[1], ev[2], ev[3], ev[4])
-                i += 1
-                if i == n:
-                    i = 0
-            elif closed[i]:
-                dead[i] = True
-                alive -= 1
-                i += 1
-                if i == n:
-                    i = 0
-            else:
-                break
-        self._alive = alive
-        self._rr = i
+    def _sweep(self, streams: Sequence[Sequence[Event]]) -> None:
+        """Process ``streams`` in strict round-robin order: event ``k``
+        of every stream still holding one, in context order, before
+        any event ``k + 1``."""
+        process = self._process
+        live = [(i, s) for i, s in enumerate(streams) if s]
+        start = 0
+        while live:
+            # every live stream holds events start .. end - 1
+            end = min(len(s) for _i, s in live)
+            for k in range(start, end):
+                for i, s in live:
+                    pc, inst, active, addrs, outcomes = s[k]
+                    process(i, pc, inst, active, addrs, outcomes)
+            start = end
+            live = [(i, s) for i, s in live if len(s) > end]
 
     def finish(self) -> CoreRunResult:
-        """Drain remaining events, flush counters, advance the clock."""
+        """Process buffered events, flush counters, advance the clock."""
         if self._finished:
             raise RuntimeError("CoreRun.finish() called twice")
         self._finished = True
-        if not self._single:
-            for c in range(len(self._closed)):
-                self._closed[c] = True
-            self._pump()
+        if self._bufs is not None:
+            self._sweep(self._bufs)
+            self._bufs = None
         (issue_time, n_events, n_scalar, n_slots, n_rf_reads, n_rf_writes,
          n_icache_stalls, n_syscalls, scalar_by_cls, stack_dep, stack_mem,
          stack_exec) = self._snapshot()
@@ -453,24 +421,11 @@ class CoreModel:
 
         ``batched`` marks RPU/GPU-style streams whose events carry a
         whole batch per step (enables the MCU and lane accounting).
-        Implemented on the same engine as :meth:`begin`, feeding events
-        directly in sweep order, so both paths are identical by
-        construction.
+        Runs the same engine and sweep as :meth:`begin` does, so both
+        entry points are identical by construction.
         """
         run = CoreRun(self, len(streams), batched)
-        process = run._process
-        cursors = [iter(s) for s in streams]
-        pending: List[Optional[Event]] = [next(c, None) for c in cursors]
-        alive = sum(1 for p in pending if p is not None)
-        while alive:
-            for i, ev in enumerate(pending):
-                if ev is None:
-                    continue
-                process(i, ev[0], ev[1], ev[2], ev[3], ev[4])
-                nxt = next(cursors[i], None)
-                pending[i] = nxt
-                if nxt is None:
-                    alive -= 1
+        run._sweep(streams)
         return run.finish()
 
     # ------------------------------------------------------------------

@@ -48,6 +48,12 @@ def test_run_batch_rejects_unknown_policy(service, requests):
         run_batch(service, requests, policy="magic")
 
 
+def test_run_batch_rejects_solo_policy(service, requests):
+    # "solo" names an executor, but not a lockstep reconvergence policy
+    with pytest.raises(ValueError, match="lockstep"):
+        run_batch(service, requests, policy="solo")
+
+
 def test_run_batch_with_sink(service, requests):
     sink = InstructionMixSink()
     result = run_batch(service, requests, sink=sink)
