@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..sanitize import check, sanitizer_enabled
-from ..system.scheduler import EventWheel, wheel_enabled
 
 
 @dataclass(frozen=True)
@@ -98,32 +97,15 @@ class RpuDriver:
 
         #: batches ready to run: (ready_time, bid, task, phase_index).
         #: ``(ready_time, bid)`` is unique (a batch is queued at most
-        #: once), so the keyed event wheel and the raw heap order the
-        #: queue identically; ``REPRO_WHEEL=0`` keeps the heap as the
-        #: differential witness, as for the simulators.
-        entries: List[Tuple[float, int, BatchTask, int]] = \
+        #: once), so the heap never compares the tasks and pops ready
+        #: batches in ``(ready_time, bid)`` order.
+        ready: List[Tuple[float, int, BatchTask, int]] = \
             [(0.0, t.bid, t, 0) for t in tasks]
-        if wheel_enabled():
-            wheel = EventWheel(fifo=False)
-            for e in entries:
-                wheel.push(e)
-            push, pop = wheel.push, wheel.pop
-        else:
-            heapq.heapify(entries)
-
-            def push(entry):
-                heapq.heappush(entries, entry)
-
-            def pop():
-                return heapq.heappop(entries) if entries else None
-
+        heapq.heapify(ready)
         running: Optional[int] = None  # last batch id on the core
 
-        while True:
-            nxt = pop()
-            if nxt is None:
-                break
-            ready_time, bid, task, idx = nxt
+        while ready:
+            ready_time, bid, task, idx = heapq.heappop(ready)
             if san:
                 # wake times are always pushed at or after `now`, so
                 # ready-queue pops must be time-monotonic
@@ -152,7 +134,7 @@ class RpuDriver:
                     # plus a single batched interrupt-handling slot
                     wake = now + phase.last_completion \
                         + self.interrupt_handling_us
-                    push((wake, bid, task, idx + 1))
+                    heapq.heappush(ready, (wake, bid, task, idx + 1))
                 else:
                     # eager: the batch is woken per interrupt to handle
                     # it; each wake costs a switch + handling time.
@@ -163,7 +145,8 @@ class RpuDriver:
                     extra = (len(phase.latencies_us) - 1)
                     per_wake = self.context_switch_us \
                         + self.interrupt_handling_us
-                    push((wake + extra * per_wake, bid, task, idx + 1))
+                    heapq.heappush(ready, (wake + extra * per_wake, bid,
+                                           task, idx + 1))
                     switches += extra
                 idx = -1  # mark blocked
                 break

@@ -171,10 +171,11 @@ class ReplicaSet:
         self.active_server_us = 0.0
         self._last_t = 0.0
         self.infinite = infinite
-        # -- health-checked failover state (inert unless health_check) --
-        #: the stations the balancer may route to: the active prefix
-        #: minus replicas currently marked unhealthy
+        #: the stations the balancer routes to: the active prefix minus
+        #: replicas currently marked unhealthy (never any without
+        #: health checks)
         self.routable: List[Station] = stations[:active]
+        # -- health-checked failover state (inert unless health_check) --
         self.fail_streak = [0] * len(stations)
         self.last_fail_us = [-1e18] * len(stations)
         #: per-replica ejection horizon; 0.0 = healthy
@@ -370,26 +371,9 @@ class FleetSimulation(GraphSimulation):
 
     # -- load balancing ------------------------------------------------
     @staticmethod
-    def _least_loaded(rs: ReplicaSet, now: float) -> Station:
-        stations = rs.stations
-        best = stations[0]
-        fa = best._free_at
-        b = min(fa) - now
-        best_key = (b if b > 0.0 else 0.0, len(best._pending))
-        for i in range(1, rs.active):
-            st = stations[i]
-            fa = st._free_at
-            b = min(fa) - now
-            key = (b if b > 0.0 else 0.0, len(st._pending))
-            if key < best_key:
-                best = st
-                best_key = key
-        return best
-
-    @staticmethod
     def _least_of(lst: List[Station], n: int, now: float) -> Station:
-        """Least-loaded of ``lst[:n]`` (list-generic twin of
-        :meth:`_least_loaded` for the health-aware routable subsets)."""
+        """Least-loaded of ``lst[:n]``: the smallest (backlog, queue
+        depth), earliest station on ties."""
         best = lst[0]
         b = min(best._free_at) - now
         best_key = (b if b > 0.0 else 0.0, len(best._pending))
@@ -404,79 +388,12 @@ class FleetSimulation(GraphSimulation):
 
     def _make_picker(self, fleet: FleetConfig):
         """Compile the balancer into one closure (no per-job string
-        compares or method dispatch; backlog reads inlined)."""
-        if fleet.health_check:
-            return self._make_health_picker(fleet)
-        balancer = fleet.balancer
-        if balancer == "round_robin":
-            def pick(rs: ReplicaSet, now: float, job: Job) -> Station:
-                n = rs.active
-                if n <= 1:
-                    return rs.stations[0]
-                st = rs.stations[rs.rr % n]
-                rs.rr += 1
-                return st
-            return pick
-        least = self._least_loaded
-        if balancer == "least_loaded":
-            def pick(rs: ReplicaSet, now: float, job: Job) -> Station:
-                if rs.active <= 1:
-                    return rs.stations[0]
-                return least(rs, now)
-            return pick
-        spill = fleet.affinity_spill_us
-        if balancer == "adaptive":
-            adapt = fleet.adapt_interval_us
-
-            def pick(rs: ReplicaSet, now: float, job: Job) -> Station:
-                c = job.api_id
-                counts = rs.api_counts
-                counts[c] = counts.get(c, 0) + 1
-                if now >= rs.next_adapt_us:
-                    # close the window: re-rank classes by observed
-                    # popularity (count desc, class id tie-break) so
-                    # the affinity map tracks the drifting mix
-                    ranked = sorted(counts,
-                                    key=lambda k: (-counts[k], k))
-                    rs.api_map = {k: i for i, k in enumerate(ranked)}
-                    counts.clear()
-                    rs.next_adapt_us = now + adapt
-                n = rs.active
-                if n <= 1:
-                    return rs.stations[0]
-                st = rs.stations[rs.api_map.get(c, c) % n]
-                if spill >= 0.0 and min(st._free_at) - now <= spill:
-                    return st
-                return least(rs, now)
-            return pick
-        if spill < 0.0:
-            # a clamped backlog can never be <= a negative threshold:
-            # the affinity target is always "backlogged"
-            def pick(rs: ReplicaSet, now: float, job: Job) -> Station:
-                if rs.active <= 1:
-                    return rs.stations[0]
-                return least(rs, now)
-            return pick
-
-        def pick(rs: ReplicaSet, now: float, job: Job) -> Station:
-            n = rs.active
-            if n <= 1:
-                return rs.stations[0]
-            st = rs.stations[job.api_id % n]
-            # backlog_us(st) <= spill, with the max(0, .) clamp folded
-            # into the comparison (spill >= 0 here)
-            if min(st._free_at) - now <= spill:
-                return st
-            # affinity target is backlogged: spill (same-class traffic
-            # keeps downstream batches pure anyway)
-            return least(rs, now)
-        return pick
-
-    def _make_health_picker(self, fleet: FleetConfig):
-        """The balancers again, routing over ``rs.routable`` - the
-        active prefix minus ejected replicas.  When every replica is
-        ejected the full active prefix is used: traffic fails fast
-        there and the retry layer keeps probing for recovery."""
+        compares or method dispatch; backlog reads inlined).  It routes
+        over ``rs.routable``: the active prefix minus ejected replicas,
+        which is the whole active prefix unless health checks eject.
+        When every replica is ejected the full active prefix is used:
+        traffic fails fast there and the retry layer keeps probing for
+        recovery."""
         balancer = fleet.balancer
         least_of = self._least_of
         spill = fleet.affinity_spill_us
@@ -516,6 +433,10 @@ class FleetSimulation(GraphSimulation):
                 if n <= 1:
                     return lst[0]
                 st = lst[job.api_id % n]
+                # backlog_us(st) <= spill, with the max(0, .) clamp
+                # folded into the comparison; a backlogged affinity
+                # target spills (same-class traffic keeps downstream
+                # batches pure anyway)
                 if spill >= 0.0 and min(st._free_at) - now <= spill:
                     return st
                 return least_of(lst, n, now)
@@ -527,6 +448,9 @@ class FleetSimulation(GraphSimulation):
             counts = rs.api_counts
             counts[c] = counts.get(c, 0) + 1
             if now >= rs.next_adapt_us:
+                # close the window: re-rank classes by observed
+                # popularity (count desc, class id tie-break) so the
+                # affinity map tracks the drifting mix
                 ranked = sorted(counts, key=lambda k: (-counts[k], k))
                 rs.api_map = {k: i for i, k in enumerate(ranked)}
                 counts.clear()

@@ -1,8 +1,9 @@
 """Generic microservice-graph simulation (the full Fig. 3 topology).
 
-``queueing.run_end_to_end`` hard-codes the paper's Fig. 22 User path;
-this module generalizes to arbitrary service graphs so the whole
-social-network application of Fig. 3 can be driven end to end:
+``resilience.ResilientEndToEnd`` (behind ``queueing.run_end_to_end``)
+hard-codes the paper's Fig. 22 User path; this module generalizes to
+arbitrary service graphs so the whole social-network application of
+Fig. 3 can be driven end to end:
 
     web -> {user | post | search}
     post   -> uniqueid + text + urlshort   (parallel fan-out, join)

@@ -17,23 +17,20 @@ At the memcached tier, misses continue to millisecond-scale storage.
 Without *batch splitting* the hit requests of a batch wait at the
 reconvergence point until their batch's misses return from storage
 (Fig. 17a); with splitting (Section III-B5) hits complete immediately.
+
+This module holds the stations and the scenario's configuration; the
+pipeline itself is :class:`repro.system.resilience.ResilientEndToEnd`,
+which :func:`run_end_to_end` runs with every policy off and no faults.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from ..sanitize import check, sanitizer_enabled
-from .scheduler import (  # noqa: F401  (re-exported compat names)
-    HeapSimulator,
-    SimulationLimitError,
-    Simulator,
-    WheelSimulator,
-    wheel_enabled,
-)
+from .scheduler import SimulationLimitError, Simulator  # noqa: F401
 
 
 @dataclass(slots=True)
@@ -199,19 +196,6 @@ class Station:
                 deadline = now + timeout
                 self._timeout_at = deadline
                 schedule(deadline, self._flush, None)
-
-    def _pick_server(self, now: float) -> float:
-        """Reserve the earliest-free server; returns the start time."""
-        free = self._free_at
-        server = 0
-        best = free[0]
-        for s in range(1, len(free)):
-            if free[s] < best:
-                best = free[s]
-                server = s
-        start = best if best > now else now
-        free[server] = start + self.occupancy_us
-        return start
 
     def _dispatch_one(self, now: float, job: Job, done: Callable) -> None:
         if self.faults is not None:
@@ -525,137 +509,15 @@ def _percentile(values: Sequence[float], q: float) -> float:
 
 def run_end_to_end(cfg: EndToEndConfig, qps: float, n_requests: int = 4000,
                    seed: int = 1) -> EndToEndResult:
-    """Simulate the User scenario at offered load ``qps``."""
-    rng = random.Random(seed)
-    sim = Simulator()
+    """Simulate the User scenario at offered load ``qps``: the
+    resilient pipeline with every policy off and no faults."""
+    from .resilience import ResilienceConfig, ResilientEndToEnd
 
-    if cfg.rpu:
-        lat = cfg.rpu_latency_factor
-        batch = cfg.batch_size
-        gain = cfg.rpu_throughput_gain
-
-        def tier(name: str, t_us: float) -> Station:
-            # per-request pipelined occupancy = 1/gain of the CPU's
-            return Station(sim, name, t_us * lat, cfg.cpu_tier_servers,
-                           occupancy_us=t_us / gain, batch_size=batch,
-                           batch_timeout_us=cfg.batch_timeout_us)
-    else:
-        def tier(name: str, t_us: float) -> Station:
-            return Station(sim, name, t_us, cfg.cpu_tier_servers)
-
-    user_st = tier("user", cfg.user_us)
-    mcrouter_st = tier("mcrouter", cfg.mcrouter_us)
-    memcached_st = tier("memcached", cfg.memcached_us)
-    storage_st = Station(sim, "storage", cfg.storage_us, servers=0,
-                         infinite=True)
-
-    finished: List[Job] = []
-    network_us = cfg.network_us
-    split = cfg.batch_split or not cfg.rpu
-
-    def finish(now: float, jobs: List[Job],
-               _append=finished.append) -> None:
-        done_at = now + network_us
-        for j in jobs:
-            j.done_us = done_at
-            _append(j)
-
-    def after_memcached(now: float, jobs: List[Job]) -> None:
-        hits: List[Job] = []
-        misses: List[Job] = []
-        for j in jobs:
-            (misses if j.blocks else hits).append(j)
-        if not misses:
-            finish(now, hits)
-            return
-        if split:
-            # fast sub-batch continues past the reconvergence point
-            finish(now, hits)
-            storage_st.arrive_many(now, misses, finish)
-            return
-        # lockstep without splitting: hits wait for the batch's misses
-        remaining = {"n": len(misses)}
-
-        def on_storage(t: float, jobs_done: List[Job]) -> None:
-            finish(t, jobs_done)
-            remaining["n"] -= len(jobs_done)
-            if remaining["n"] == 0:
-                finish(t, hits)
-
-        storage_st.arrive_many(now, misses, on_storage)
-
-    def after_mcrouter(now: float, jobs: List[Job]) -> None:
-        memcached_st.arrive_many(now, jobs, after_memcached)
-
-    def after_user(now: float, jobs: List[Job]) -> None:
-        mcrouter_st.arrive_many(now, jobs, after_mcrouter)
-
-    web_us = cfg.web_us
-    inter_us = 1e6 / qps
-    hit_rate = cfg.memcached_hit_rate
-    rnd = rng.random
-    schedule = sim.schedule1
-
-    # precompute the per-request draws in one block, preserving the
-    # exact draw order of the original interleaved injector
-    # (expovariate, then per request: random, expovariate).  Each
-    # ``expovariate(1.0)`` is exactly ``-log(1 - random())`` (the
-    # division by lambd=1.0 is a float identity), so the whole
-    # sequence is one run of uniform draws: even indices are arrival
-    # gaps, odd indices are hit/miss draws.
-    log = math.log
-    raw = [rnd() for _ in range(2 * n_requests)]
-    gaps = [-log(1.0 - u) * inter_us for u in raw[0::2]]
-    blocks = [u >= hit_rate for u in raw[1::2]]
-
-    # self-rescheduling injector: each arrival event creates the next
-    # one, so the scheduler only ever holds in-flight work (tens of
-    # events) instead of the entire open-loop arrival schedule - the
-    # schedule-call order is exactly the original draw-inline loop's
-    def inject(now: float, i: int, _arrive=user_st.arrive) -> None:
-        job = Job(jid=i, arrival_us=now, blocks=blocks[i])
-        nxt = i + 1
-        if nxt < n_requests:
-            schedule(now + gaps[nxt], inject, nxt)
-        _arrive(now + web_us + network_us, job, after_user)
-
-    if n_requests > 0:
-        schedule(gaps[0], inject, 0)
-
-    sim.run()
-
-    if sanitizer_enabled():
-        # conservation of jobs: every injected request finishes exactly
-        # once and no station strands work in a partial batch
-        check(len(finished) == n_requests,
-              "queueing: injected %d jobs but %d finished",
-              n_requests, len(finished))
-        check(len({j.jid for j in finished}) == len(finished),
-              "queueing: a job finished more than once")
-        for st in (user_st, mcrouter_st, memcached_st, storage_st):
-            check(not st._pending,
-                  "queueing: station %s stranded %d jobs",
-                  st.name, len(st._pending))
-            check(st.dispatched_jobs == st.arrived_jobs,
-                  "queueing: station %s dispatched %d of %d arrivals",
-                  st.name, st.dispatched_jobs, st.arrived_jobs)
-            check(st.open_jobs == 0 and st.open_groups == 0,
-                  "queueing: station %s drained with %d jobs / %d "
-                  "groups still open", st.name, st.open_jobs,
-                  st.open_groups)
-        for j in finished:
-            check(j.done_us >= j.arrival_us,
-                  "queueing: job %d finished at %f before arriving at %f",
-                  j.jid, j.done_us, j.arrival_us)
-
-    lats = [j.latency_us for j in finished]
-    return EndToEndResult(
-        offered_qps=qps,
-        completed=len(finished),
-        avg_latency_us=sum(lats) / len(lats) if lats else 0.0,
-        p50_us=_percentile(lats, 0.50),
-        p99_us=_percentile(lats, 0.99),
-    )
+    r = ResilientEndToEnd(cfg, ResilienceConfig(), seed=seed).run(
+        qps, n_requests)
+    return EndToEndResult(offered_qps=qps, completed=r.completed,
+                          avg_latency_us=r.avg_latency_us,
+                          p50_us=r.p50_us, p99_us=r.p99_us)
 
 
 def saturation_sweep(cfg: EndToEndConfig, qps_points: Sequence[float],

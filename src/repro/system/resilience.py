@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional
 
 from ..sanitize import check, sanitizer_enabled
@@ -83,28 +84,6 @@ class ResilienceConfig:
     degrade_storage: bool = False
     quality_penalty: float = 0.25
     seed: int = 23
-
-
-@dataclass(slots=True)
-class RequestState:
-    """Lifecycle of one logical request across all its attempts."""
-
-    rid: int
-    arrival_us: float
-    blocks: bool
-    outcome: Optional[str] = None
-    done_us: float = 0.0
-    degraded: bool = False
-    attempts: int = 0
-    retries: int = 0
-    hedges: int = 0
-    won_by_hedge: bool = False
-    #: attempts currently in the pipeline (primary + live hedges); a
-    #: request may only resolve VIOLATED once this reaches zero
-    inflight: int = 0
-    #: retry relaunches scheduled but not yet fired; while one is
-    #: pending, further attempt failures must not burn more budget
-    backoffs: int = 0
 
 
 class CircuitBreaker:
@@ -176,7 +155,14 @@ def system_energy_joules(tiers: List[Station], storage: Station,
 
 
 class ResilientEndToEnd:
-    """Fig. 22 pipeline + fault injector + resilience policies."""
+    """Fig. 22 pipeline + fault injector + resilience policies.
+
+    With every policy off and no faults this is the plain User path
+    that :func:`repro.system.queueing.run_end_to_end` reports, so the
+    hot callbacks branch on what the policy turns on instead of paying
+    for it: without an injector or a breaker no attempt can fail, and
+    routing skips the failure scan and the breaker bookkeeping.
+    """
 
     def __init__(self, cfg: EndToEndConfig, policy: ResilienceConfig,
                  faults: Optional[FaultConfig] = None, seed: int = 1,
@@ -198,6 +184,7 @@ class ResilientEndToEnd:
             gain = cfg.rpu_throughput_gain
 
             def tier(name: str, t_us: float) -> Station:
+                # per-request pipelined occupancy = 1/gain of the CPU's
                 return Station(self.sim, name, t_us * lat,
                                cfg.cpu_tier_servers,
                                occupancy_us=t_us / gain,
@@ -219,9 +206,37 @@ class ResilientEndToEnd:
 
         self.breaker = CircuitBreaker(policy.breaker_threshold,
                                       policy.breaker_cooldown_us)
-        self.states: List[RequestState] = []
-        self.attempts_launched = 0
-        self.attempts_accounted = 0
+        self._breaker_on = policy.breaker_threshold > 0
+        self._may_fail = self.injector is not None or self._breaker_on
+        self._hedge_on = policy.hedge_after_us != math.inf
+        #: admission runs the shed check or arms a deadline
+        self._gated = (policy.shed_backlog_us > 0
+                       or policy.deadline_us != math.inf)
+        self._web_us = cfg.web_us
+        self._network_us = cfg.network_us
+        #: per-request lifecycle, one list per field indexed by the
+        #: request id (allocated in :meth:`run`): the hot path builds no
+        #: per-request object
+        self.arrival_us: List[float] = []
+        self.blocks: List[bool] = []
+        #: DONE, SHED or VIOLATED once resolved, else None
+        self.outcome: List[Optional[str]] = []
+        #: attempts launched so far (the next attempt's number)
+        self.attempts: List[int] = []
+        self.req_retries: List[int] = []
+        self.req_hedges: List[int] = []
+        #: attempts currently in the pipeline (primary + live hedges); a
+        #: request may only resolve VIOLATED once this reaches zero
+        self.inflight: List[int] = []
+        #: retry relaunches scheduled but not yet fired; while one is
+        #: pending, further attempt failures must not burn more budget
+        self.backoffs: List[int] = []
+        #: latencies of the DONE requests in resolution order (the order
+        #: the mean sums them in), and tallies of the other outcomes
+        self.latencies: List[float] = []
+        self.shed = 0
+        self.violated = 0
+        self.hedge_wins = 0
         self.failed_attempts = 0
         self.degraded_completions = 0
         self._jid = 0
@@ -236,147 +251,163 @@ class ResilientEndToEnd:
         self._cb_after_user = self._after_user
         self._cb_after_mcrouter = self._after_mcrouter
         self._cb_after_memcached = self._after_memcached
+        # the injector reschedules itself once per request
+        self._cb_inject = self._inject
 
     # -- deterministic jitter ------------------------------------------
     def _u(self, rid: int, k: int) -> float:
         return stream_u(self.policy.seed, rid, k)
 
     # -- attempt lifecycle ---------------------------------------------
-    def _launch(self, t: float, state: RequestState,
-                hedge: bool = False) -> None:
+    def _launch(self, t: float, rid: int, hedge: bool = False) -> None:
         self._jid += 1
-        job = Job(jid=self._jid, arrival_us=state.arrival_us,
-                  blocks=state.blocks, rid=state.rid,
-                  attempt=state.attempts, hedge=hedge)
-        state.attempts += 1
-        state.inflight += 1
-        self.attempts_launched += 1
-        pol = self.policy
-        if (not hedge and pol.hedge_after_us != math.inf):
-            self.sim.schedule1(t + pol.hedge_after_us, self._maybe_hedge,
-                               state)
+        # positional: a keyword call costs twice as much on this path
+        # (jid, arrival_us, blocks, done_us, rid, api_id, attempt, hedge)
+        job = Job(self._jid, self.arrival_us[rid], self.blocks[rid], 0.0,
+                  rid, 0, self.attempts[rid], hedge)
+        self.attempts[rid] += 1
+        self.inflight[rid] += 1
+        if self._hedge_on and not hedge:
+            self.sim.schedule1(t + self.policy.hedge_after_us,
+                               self._maybe_hedge, rid)
         self.user_st.arrive(t, job, self._cb_after_user)
 
-    def _maybe_hedge(self, now: float, state: RequestState) -> None:
-        if state.outcome is None and state.hedges < self.policy.max_hedges:
-            state.hedges += 1
-            self._launch(now, state, hedge=True)
+    def _maybe_hedge(self, now: float, rid: int) -> None:
+        if (self.outcome[rid] is None
+                and self.req_hedges[rid] < self.policy.max_hedges):
+            self.req_hedges[rid] += 1
+            self._launch(now, rid, hedge=True)
 
-    def _relaunch(self, now: float, state: RequestState) -> None:
-        state.backoffs -= 1
+    def _relaunch(self, now: float, rid: int) -> None:
+        self.backoffs[rid] -= 1
         # the request may have been resolved (deadline) while backing off
-        if state.outcome is None:
-            self._launch(now, state)
+        if self.outcome[rid] is None:
+            self._launch(now, rid)
 
     def _attempt_failed(self, now: float, job: Job) -> None:
-        self.attempts_accounted += 1
         self.failed_attempts += 1
         site = job.fail_site
         if ":" not in site:  # breaker fail-fasts don't re-feed the breaker
             self.breaker.failure(site, now)
-        state = self.states[job.rid]
-        state.inflight -= 1
-        if state.outcome is not None:
+        rid = job.rid
+        self.inflight[rid] -= 1
+        if self.outcome[rid] is not None:
             return
-        if state.backoffs:
+        if self.backoffs[rid]:
             # a retry is already scheduled for this request: an outage
             # onset that killed the primary and its hedge in one batch
             # must not burn a second slice of the retry budget
             return
         pol = self.policy
-        if state.retries < pol.max_retries:
-            k = state.retries
-            state.retries += 1
+        k = self.req_retries[rid]
+        if k < pol.max_retries:
+            self.req_retries[rid] = k + 1
             back = (pol.retry_backoff_us * pol.backoff_mult ** k
-                    * (1.0 + pol.jitter_frac * self._u(state.rid, k)))
+                    * (1.0 + pol.jitter_frac * self._u(rid, k)))
             t = now + back
-            if t < state.arrival_us + pol.deadline_us:
-                state.backoffs += 1
-                self.sim.schedule1(t, self._relaunch, state)
+            if t < self.arrival_us[rid] + pol.deadline_us:
+                self.backoffs[rid] += 1
+                self.sim.schedule1(t, self._relaunch, rid)
                 return
-        if state.inflight == 0:
+        if self.inflight[rid] == 0:
             # budget exhausted and nothing else racing: give up now.
             # With a sibling attempt still in the pipeline (a hedge),
             # the request stays open - that attempt may yet complete.
-            self._resolve(now, state, VIOLATED)
+            self._resolve(now, rid, VIOLATED)
 
-    def _attempt_done(self, t: float, job: Job,
-                      degraded: bool = False) -> None:
-        self.attempts_accounted += 1
-        br = self.breaker
-        br.success("user")
-        br.success("mcrouter")
-        br.success("memcached")
-        if job.blocks and not degraded:
-            br.success("storage")
-        state = self.states[job.rid]
-        state.inflight -= 1
-        if state.outcome is not None:
-            return  # hedge loser / post-deadline straggler
-        state.done_us = t
-        state.degraded = degraded
-        state.won_by_hedge = job.hedge
-        if degraded:
-            self.degraded_completions += 1
-        self._resolve(t, state, DONE)
-
-    def _resolve(self, t: float, state: RequestState,
-                 outcome: str) -> None:
+    def _resolve(self, t: float, rid: int, outcome: str) -> None:
+        """Resolve an open request SHED or VIOLATED (DONE resolves in
+        :meth:`_finish`)."""
         if self._san:
-            check(state.outcome is None,
+            check(self.outcome[rid] is None,
                   "resilience: request %d resolved twice (%s then %s)",
-                  state.rid, state.outcome, outcome)
-        state.outcome = outcome
+                  rid, self.outcome[rid], outcome)
+        self.outcome[rid] = outcome
+        if outcome is SHED:
+            self.shed += 1
+        else:
+            self.violated += 1
         # measurement horizon: last *resolution*, not sim drain time
         # (deadline timers and hedge losers tick on harmlessly after
         # the final request has resolved and must not dilute goodput)
         if t > self._horizon_us:
             self._horizon_us = t
 
-    def _deadline(self, now: float, state: RequestState) -> None:
-        if state.outcome is None:
-            self._resolve(now, state, VIOLATED)
+    def _deadline(self, now: float, rid: int) -> None:
+        if self.outcome[rid] is None:
+            self._resolve(now, rid, VIOLATED)
 
     # -- pipeline routing ----------------------------------------------
-    def _hop(self, now: float, jobs: List[Job], nxt: Station,
-             after: Callable) -> None:
+    def _survivors(self, now: float, jobs: List[Job],
+                   nxt: str) -> List[Job]:
+        """The attempts of ``jobs`` that may enter station ``nxt``:
+        failed ones go to the retry logic, and an open breaker at
+        ``nxt`` fails the rest fast."""
         ok = []
         for j in jobs:
             if j.failed:
                 self._attempt_failed(now, j)
             else:
                 ok.append(j)
-        if not ok:
-            return
-        if (self.policy.breaker_threshold > 0
-                and not self.breaker.allow(nxt.name, now)):
+        if ok and self._breaker_on and not self.breaker.allow(nxt, now):
             for j in ok:
                 j.failed = True
-                j.fail_site = nxt.name + ":breaker"
+                j.fail_site = nxt + ":breaker"
                 self._attempt_failed(now, j)
-            return
-        nxt.arrive_many(now, ok, after)
+            return []
+        return ok
 
     def _after_user(self, now: float, jobs: List[Job]) -> None:
-        self._hop(now, jobs, self.mcrouter_st, self._cb_after_mcrouter)
+        if self._may_fail:
+            jobs = self._survivors(now, jobs, "mcrouter")
+            if not jobs:
+                return
+        self.mcrouter_st.arrive_many(now, jobs, self._cb_after_mcrouter)
 
     def _after_mcrouter(self, now: float, jobs: List[Job]) -> None:
-        self._hop(now, jobs, self.memcached_st, self._cb_after_memcached)
+        if self._may_fail:
+            jobs = self._survivors(now, jobs, "memcached")
+            if not jobs:
+                return
+        self.memcached_st.arrive_many(now, jobs, self._cb_after_memcached)
 
     def _finish(self, now: float, jobs: List[Job],
                 degraded: bool = False) -> None:
-        done_at = now + self.cfg.network_us
+        """Attempts leave the pipeline at ``now`` and reach the client
+        one network hop later; the first to succeed resolves its
+        request DONE, later ones are hedge losers or stragglers."""
+        done_at = now + self._network_us
+        outcome = self.outcome
+        inflight = self.inflight
+        breaker_on = self._breaker_on
         for j in jobs:
             if j.failed:
                 self._attempt_failed(now, j)
-            else:
-                self._attempt_done(done_at, j, degraded)
+                continue
+            if breaker_on:
+                br = self.breaker
+                br.success("user")
+                br.success("mcrouter")
+                br.success("memcached")
+                if j.blocks and not degraded:
+                    br.success("storage")
+            rid = j.rid
+            inflight[rid] -= 1
+            if outcome[rid] is not None:
+                continue  # hedge loser / post-deadline straggler
+            outcome[rid] = DONE
+            self.latencies.append(done_at - j.arrival_us)
+            if done_at > self._horizon_us:
+                self._horizon_us = done_at
+            if degraded:
+                self.degraded_completions += 1
+            if j.hedge:
+                self.hedge_wins += 1
 
     def _storage_leg(self, now: float, misses: List[Job],
                      done: Callable) -> None:
         """Route a miss sub-batch to storage, honoring breaker/degrade."""
-        if (self.policy.breaker_threshold > 0
-                and not self.breaker.allow("storage", now)):
+        if self._breaker_on and not self.breaker.allow("storage", now):
             if self.policy.degrade_storage:
                 # skip the dead downstream: serve stale at a penalty
                 done(now, misses, True)
@@ -419,10 +450,10 @@ class ResilientEndToEnd:
                 self._finish(now, hits)
             return
         if self._split:
+            # fast sub-batch continues past the reconvergence point
             if hits:
                 self._finish(now, hits)
-            self._storage_leg(now, misses,
-                              lambda t, js, deg: self._finish(t, js, deg))
+            self._storage_leg(now, misses, self._finish)
             return
         # lockstep without splitting: hits wait for the batch's misses
         remaining = {"n": len(misses)}
@@ -437,61 +468,61 @@ class ResilientEndToEnd:
 
     # -- driving --------------------------------------------------------
     def _inject(self, now: float, i: int) -> None:
-        state = RequestState(rid=i, arrival_us=now,
-                             blocks=self._blocks[i])
-        self.states.append(state)
+        # each arrival schedules the next, so the scheduler only ever
+        # holds in-flight work instead of the whole arrival schedule
         nxt = i + 1
         if nxt < self._n_requests:
-            self.sim.schedule1(self._arrive_at[nxt], self._inject, nxt)
-        pol = self.policy
-        if (pol.shed_backlog_us > 0
-                and self.user_st.backlog_us(now) > pol.shed_backlog_us):
-            self._resolve(now, state, SHED)
-            return
-        if pol.deadline_us != math.inf:
-            self.sim.schedule1(now + pol.deadline_us, self._deadline, state)
-        self._launch(now + self.cfg.web_us + self.cfg.network_us, state)
+            self.sim.schedule1(self.arrival_us[nxt], self._cb_inject, nxt)
+        if self._gated:
+            pol = self.policy
+            if (pol.shed_backlog_us > 0
+                    and self.user_st.backlog_us(now) > pol.shed_backlog_us):
+                self._resolve(now, i, SHED)
+                return
+            if pol.deadline_us != math.inf:
+                self.sim.schedule1(now + pol.deadline_us, self._deadline, i)
+        self._launch(now + self._web_us + self._network_us, i)
 
     def run(self, qps: float, n_requests: int = 2000) -> ResilientResult:
         self._san = sanitizer_enabled()
-        self._n_requests = n_requests
+        n = self._n_requests = n_requests
         inter_us = 1e6 / qps
         hit_rate = self.cfg.memcached_hit_rate
         rnd = self.rng.random
-        expovariate = self.rng.expovariate
+        log = math.log
         # the whole arrival schedule is drawn *before* the event loop,
-        # in the exact draw order the old in-event injector used (gap,
-        # then per-request [blocks, gap]), so results are bit-identical
-        # while no event callback ever consumes shared RNG state
-        arrive_at: List[float] = []
-        blocks: List[bool] = []
-        if n_requests > 0:
-            t = expovariate(1.0) * inter_us
-            for i in range(n_requests):
-                arrive_at.append(t)
-                blocks.append(rnd() >= hit_rate)
-                if i + 1 < n_requests:
-                    t += expovariate(1.0) * inter_us
-        self._arrive_at = arrive_at
-        self._blocks = blocks
-        if n_requests > 0:
-            self.sim.schedule1(arrive_at[0], self._inject, 0)
+        # so no event callback ever consumes shared RNG state.  The draw
+        # order is gap, then per request [blocks, gap]; each
+        # ``expovariate(1.0)`` is exactly ``-log(1 - random())``, so the
+        # sequence is one run of uniform draws: even indices are
+        # arrival gaps, odd indices are hit/miss draws
+        raw = [rnd() for _ in range(2 * n)]
+        self.arrival_us = list(accumulate(
+            -log(1.0 - u) * inter_us for u in raw[0::2]))
+        self.blocks = [u >= hit_rate for u in raw[1::2]]
+        self.outcome = [None] * n
+        self.attempts = [0] * n
+        self.req_retries = [0] * n
+        self.req_hedges = [0] * n
+        self.inflight = [0] * n
+        self.backoffs = [0] * n
+        if n > 0:
+            self.sim.schedule1(self.arrival_us[0], self._cb_inject, 0)
         self.sim.run()
 
-        states = self.states
-        completed = [s for s in states if s.outcome == DONE]
-        shed = sum(1 for s in states if s.outcome == SHED)
-        violated = sum(1 for s in states if s.outcome == VIOLATED)
+        lats = self.latencies
+        n_done = len(lats)
         if self._san:
-            self._sanitize(n_requests, len(completed), shed, violated)
-
-        lats = [s.done_us - s.arrival_us for s in completed]
+            self._sanitize(n, n_done)
+        # the mean sums in resolution order; the percentiles read the
+        # sorted sample
+        avg = sum(lats) / n_done if n_done else 0.0
+        lats = sorted(lats)
         makespan_us = max(self._horizon_us, 1e-9)
         energy = system_energy_joules(
             [self.user_st, self.mcrouter_st, self.memcached_st],
             self.storage_st, makespan_us)
-        n_done = len(completed)
-        n_degraded = sum(1 for s in completed if s.degraded)
+        n_degraded = self.degraded_completions
         quality = 0.0
         if n_done:
             quality = (n_done - n_degraded * self.policy.quality_penalty) \
@@ -508,17 +539,17 @@ class ResilientEndToEnd:
             }
         return ResilientResult(
             offered_qps=qps,
-            n_requests=n_requests,
+            n_requests=n,
             completed=n_done,
-            shed=shed,
-            violated=violated,
+            shed=self.shed,
+            violated=self.violated,
             degraded=n_degraded,
-            retries=sum(s.retries for s in states),
-            hedges=sum(s.hedges for s in states),
-            hedge_wins=sum(1 for s in completed if s.won_by_hedge),
+            retries=sum(self.req_retries),
+            hedges=sum(self.req_hedges),
+            hedge_wins=self.hedge_wins,
             failed_attempts=self.failed_attempts,
             breaker_opens=self.breaker.opened,
-            avg_latency_us=sum(lats) / n_done if n_done else 0.0,
+            avg_latency_us=avg,
             p50_us=_percentile(lats, 0.50),
             p99_us=_percentile(lats, 0.99),
             p999_us=_percentile(lats, 0.999),
@@ -529,34 +560,36 @@ class ResilientEndToEnd:
             fault_stats=fault_stats,
         )
 
-    def _sanitize(self, n: int, completed: int, shed: int,
-                  violated: int) -> None:
+    def _sanitize(self, n: int, completed: int) -> None:
         """The conservation invariants of the resilience layer."""
-        check(completed + shed + violated == n,
+        check(completed + self.shed + self.violated == n,
               "resilience: %d requests but %d completed + %d shed + %d "
-              "violated", n, completed, shed, violated)
-        check(self.attempts_launched == self.attempts_accounted,
-              "resilience: %d attempts launched but %d accounted - a "
-              "job leaked (hedge cancellation?)",
-              self.attempts_launched, self.attempts_accounted)
+              "violated", n, completed, self.shed, self.violated)
+        done = self.outcome.count(DONE)
+        check(done == completed,
+              "resilience: %d requests resolved DONE but %d latencies "
+              "recorded", done, completed)
         pol = self.policy
-        for s in self.states:
-            check(s.retries <= pol.max_retries,
+        for rid in range(n):
+            check(self.req_retries[rid] <= pol.max_retries,
                   "resilience: request %d used %d retries (budget %d)",
-                  s.rid, s.retries, pol.max_retries)
-            check(s.hedges <= pol.max_hedges,
+                  rid, self.req_retries[rid], pol.max_retries)
+            check(self.req_hedges[rid] <= pol.max_hedges,
                   "resilience: request %d used %d hedges (budget %d)",
-                  s.rid, s.hedges, pol.max_hedges)
-            check(s.inflight == 0,
+                  rid, self.req_hedges[rid], pol.max_hedges)
+            # every launched attempt - hedge losers and stragglers
+            # included - is accounted exactly once
+            check(self.inflight[rid] == 0,
                   "resilience: request %d drained with %d attempts "
-                  "still in flight", s.rid, s.inflight)
-            check(s.backoffs == 0,
+                  "still in flight - a job leaked (hedge cancellation?)",
+                  rid, self.inflight[rid])
+            check(self.backoffs[rid] == 0,
                   "resilience: request %d drained with %d backoff "
-                  "relaunches still pending", s.rid, s.backoffs)
-            if s.outcome == DONE:
-                check(s.done_us >= s.arrival_us,
-                      "resilience: request %d finished at %f before "
-                      "arriving at %f", s.rid, s.done_us, s.arrival_us)
+                  "relaunches still pending", rid, self.backoffs[rid])
+        for lat in self.latencies:
+            check(lat >= 0.0,
+                  "resilience: a request finished %f us before arriving",
+                  -lat)
         for st in self.stations:
             check(not st._pending,
                   "resilience: station %s stranded %d jobs",
@@ -564,6 +597,10 @@ class ResilientEndToEnd:
             check(st.dispatched_jobs == st.arrived_jobs,
                   "resilience: station %s dispatched %d of %d arrivals",
                   st.name, st.dispatched_jobs, st.arrived_jobs)
+            check(st.open_jobs == 0 and st.open_groups == 0,
+                  "resilience: station %s drained with %d jobs / %d "
+                  "groups still open", st.name, st.open_jobs,
+                  st.open_groups)
 
 
 def run_resilient(cfg: EndToEndConfig, policy: ResilienceConfig,

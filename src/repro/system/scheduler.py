@@ -38,13 +38,7 @@ witness behind ``REPRO_WHEEL=0``.  The argument sketch:
 :class:`WheelSimulator` is built in the closure style of the streaming
 timing engine (PR 3): ``schedule1``/``run`` are closures sharing the
 wheel state through cells, so the per-event hot path does no
-self-attribute loads at all.  :class:`EventWheel` is the plain-class
-reference implementation of the same structure - it backs the RPU
-driver's ready queue (:mod:`repro.batching.driver`) in ``fifo=False``
-mode, where entries are ordered by their leading ``(time, key)`` tuple
-prefix instead of insertion order (the ordering the driver's old
-``(time, bid, task, idx)`` heap provided), and it is what the rotation
-invariant tests poke at directly.
+self-attribute loads at all.
 
 ``Simulator`` is the factory the simulators instantiate: it returns a
 :class:`WheelSimulator` unless ``REPRO_WHEEL=0`` selects the
@@ -74,7 +68,6 @@ from typing import Callable, List, Optional, Tuple
 from ..sanitize import check, sanitizer_enabled
 
 __all__ = [
-    "EventWheel",
     "HeapSimulator",
     "SimulationLimitError",
     "Simulator",
@@ -95,7 +88,6 @@ class SimulationLimitError(RuntimeError):
 
 
 _key0 = itemgetter(0)
-_key01 = itemgetter(0, 1)
 
 
 class _Greatest:
@@ -135,174 +127,6 @@ def _check_geometry(width_us: float, n_buckets: int) -> float:
         raise ValueError(f"width_us must be a power of two, "
                          f"got {width_us}")
     return inv
-
-
-class EventWheel:
-    """Plain-class calendar queue (the reference implementation).
-
-    Entries are tuples whose first element is the absolute timestamp.
-    ``fifo=True`` breaks timestamp ties by insertion order;
-    ``fifo=False`` (the RPU driver's ready queue) orders by the
-    ``(entry[0], entry[1])`` prefix, which callers must keep unique.
-    """
-
-    __slots__ = ("width", "n", "buckets", "overflow", "cursor", "count",
-                 "live", "live_i", "fifo", "_inv", "_mask", "_otie",
-                 "_san")
-
-    def __init__(self, width_us: float = 64.0, n_buckets: int = 256,
-                 fifo: bool = True):
-        self._inv = _check_geometry(width_us, n_buckets)
-        self.width = width_us
-        self.n = n_buckets
-        self._mask = n_buckets - 1
-        self.buckets: List[list] = [[] for _ in range(n_buckets)]
-        #: far-future events beyond the wheel horizon; fifo mode wraps
-        #: them as ``(when, tie, entry)`` so migration replays
-        #: insertion order, keyed mode stores the entry tuples raw
-        self.overflow: list = []
-        #: absolute index of the bucket being (or next to be) drained
-        self.cursor = 0
-        #: entries currently in buckets (the overflow heap is extra)
-        self.count = 0
-        #: the bucket currently being drained (sorted), else None
-        self.live: Optional[list] = None
-        #: drain position within ``live``: entries below it have fired
-        self.live_i = 0
-        self.fifo = fifo
-        self._otie = 0
-        self._san = sanitizer_enabled()
-
-    # -- insertion -----------------------------------------------------
-    def push(self, entry: tuple) -> None:
-        """Insert ``entry`` (``entry[0]`` is the absolute time)."""
-        when = entry[0]
-        b = int(when * self._inv)
-        c = self.cursor
-        if b > c:
-            if b - c < self.n:
-                self.buckets[b & self._mask].append(entry)
-                self.count += 1
-            elif self.fifo:
-                self._otie += 1
-                heappush(self.overflow, (when, self._otie, entry))
-            else:
-                heappush(self.overflow, entry)
-            return
-        # current (possibly draining) bucket - or the past, which the
-        # sanitizer rejects and the unsanitized wheel clamps to "fire
-        # next", mirroring the heap's behaviour for invalid schedules
-        if self._san:
-            check(b == c, "event wheel: push into a past bucket "
-                  "(t=%f, bucket %d < cursor %d)", when, b, c)
-        live = self.live
-        if live is None:
-            self.buckets[c & self._mask].append(entry)
-        else:
-            if self.fifo:
-                pos = bisect_right(live, when, key=_key0)
-            else:
-                pos = bisect_right(live, _key01(entry), key=_key01)
-            li = self.live_i
-            if pos < li:
-                pos = li
-            live.insert(pos, entry)
-        self.count += 1
-
-    # -- rotation ------------------------------------------------------
-    def _admit(self) -> None:
-        """Migrate overflow events whose buckets are now admissible."""
-        ov = self.overflow
-        if not ov:
-            return
-        horizon = (self.cursor + self.n) * self.width
-        buckets = self.buckets
-        mask = self._mask
-        inv = self._inv
-        if self._san:
-            check(self.live is None,
-                  "event wheel: admission during a live bucket drain")
-        if self.fifo:
-            while ov and ov[0][0] < horizon:
-                when, _tie, entry = heappop(ov)
-                buckets[int(when * inv) & mask].append(entry)
-                self.count += 1
-        else:
-            while ov and ov[0][0] < horizon:
-                entry = heappop(ov)
-                buckets[int(entry[0] * inv) & mask].append(entry)
-                self.count += 1
-
-    def _open_bucket(self) -> Optional[list]:
-        """Advance to the next non-empty bucket, sort it and return it
-        as the live bucket; None when the wheel and overflow are empty.
-        """
-        while True:
-            if self.count:
-                buck = self.buckets[self.cursor & self._mask]
-                if buck:
-                    buck.sort(key=_key0 if self.fifo else _key01)
-                    if self._san:
-                        inv = self._inv
-                        c = self.cursor
-                        for e in buck:
-                            check(int(e[0] * inv) == c,
-                                  "event wheel: entry at t=%f drained "
-                                  "from bucket %d (its own is %d)",
-                                  e[0], c, int(e[0] * inv))
-                    self.live = buck
-                    self.live_i = 0
-                    return buck
-                self.cursor += 1
-                self._admit()
-                continue
-            if self.overflow:
-                # wheel empty: jump the cursor straight to the next
-                # overflow event's bucket instead of rotating there
-                b = int(self.overflow[0][0] * self._inv)
-                if b > self.cursor:
-                    self.cursor = b
-                self._admit()
-                if self._san:
-                    check(self.count > 0,
-                          "event wheel: admission after a cursor jump "
-                          "landed no events")
-                continue
-            return None
-
-    def _close_bucket(self) -> None:
-        """Retire the fully-drained live bucket and advance the cursor."""
-        buck = self.live
-        self.count -= len(buck)
-        buck.clear()
-        self.live = None
-        self.live_i = 0
-        self.cursor += 1
-        self._admit()
-
-    # -- draining ------------------------------------------------------
-    def pop(self) -> Optional[tuple]:
-        """Remove and return the next entry in firing order, or None."""
-        buck = self.live
-        while True:
-            if buck is not None:
-                i = self.live_i
-                if i < len(buck):
-                    self.live_i = i + 1
-                    return buck[i]
-                self._close_bucket()
-            buck = self._open_bucket()
-            if buck is None:
-                return None
-
-    def __len__(self) -> int:
-        pending = self.count + len(self.overflow)
-        if self.live is not None:
-            pending -= self.live_i
-        return pending
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
 
 
 class Simulator:

@@ -86,3 +86,20 @@ def test_grouped_wakeup_waits_for_slowest_thread():
     stats = driver.run([make_io_batch(0, 0.0, [1.0, 2.0, 300.0],
                                       post_compute_us=5.0)])
     assert stats.makespan_us >= 305.0
+
+
+def test_simultaneously_ready_batches_run_in_bid_order():
+    """Equal ready times break by batch id, not by hand-in order."""
+    driver = RpuDriver(context_switch_us=2.0)
+    tasks = [BatchTask(b, [ComputePhase(10.0 * (b + 1))]) for b in (2, 0, 1)]
+    driver.run(tasks)
+    assert [t.bid for t in sorted(tasks, key=lambda t: t.finished_at)] \
+        == [0, 1, 2]
+    # two batches woken by I/O at the same instant: the lower id resumes
+    # first (bid 3 blocks at t=2, bid 5 at t=4; both wake at 102.5)
+    late = make_io_batch(5, 0.0, [98.0], post_compute_us=7.0)
+    early = make_io_batch(3, 0.0, [100.0], post_compute_us=7.0)
+    stats = driver.run([late, early])
+    assert early.finished_at == pytest.approx(102.5 + 2.0 + 7.0)
+    assert late.finished_at == pytest.approx(early.finished_at + 2.0 + 7.0)
+    assert stats.context_switches == 4

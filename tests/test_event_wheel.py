@@ -2,14 +2,12 @@
 differential, rotation/overflow mechanics, sanitizer invariants and the
 keyed-draw fast path that rides along with it."""
 
-import heapq
 import random
 
 import pytest
 
 from repro.sanitize import SanitizerError
 from repro.system.scheduler import (
-    EventWheel,
     HeapSimulator,
     SimulationLimitError,
     Simulator,
@@ -118,72 +116,73 @@ class TestWheelHeapDifferential:
         assert plain == guarded
 
 
+def _fire_order(sim, events):
+    """Schedule ``(time, tag)`` events in list order and run: the
+    ``(time, tag)`` pairs in firing order."""
+    order = []
+    for t, tag in events:
+        sim.schedule1(t, lambda tt, a: order.append((tt, a)), tag)
+    sim.run()
+    return order
+
+
+def _wheel_and_heap(events, **geometry):
+    """Firing order on a wheel of the given geometry, checked against
+    the heap witness."""
+    got = _fire_order(WheelSimulator(**geometry), events)
+    assert got == _fire_order(HeapSimulator(), events)
+    return got
+
+
 class TestEventWheelMechanics:
     def test_rotation_across_many_buckets(self):
-        wheel = EventWheel(width_us=64.0, n_buckets=256)
         times = [float(i * 97 % 5000) for i in range(300)]
-        for i, t in enumerate(times):
-            wheel.push((t, i))
-        got = [wheel.pop() for _ in range(len(times))]
-        assert got == sorted(zip(times, range(len(times))))
-        assert wheel.pop() is None
-        assert len(wheel) == 0
+        got = _wheel_and_heap(list(zip(times, range(300))),
+                              width_us=64.0, n_buckets=256)
+        assert got == sorted(zip(times, range(300)))
 
     def test_overflow_beyond_horizon_migrates_in_order(self):
-        wheel = EventWheel(width_us=64.0, n_buckets=256)
         horizon = 64.0 * 256
-        wheel.push((horizon * 3 + 1.0, "far"))
-        wheel.push((5.0, "near"))
-        wheel.push((horizon * 2 + 1.0, "mid"))
-        assert len(wheel) == 3
-        assert [e[1] for e in (wheel.pop(), wheel.pop(), wheel.pop())] \
-            == ["near", "mid", "far"]
+        got = _wheel_and_heap([(horizon * 3 + 1.0, "far"), (5.0, "near"),
+                               (horizon * 2 + 1.0, "mid")],
+                              width_us=64.0, n_buckets=256)
+        assert [tag for _t, tag in got] == ["near", "mid", "far"]
 
     def test_jump_ahead_over_empty_span(self):
-        wheel = EventWheel(width_us=64.0, n_buckets=256)
-        wheel.push((1e6, "only"))  # far past the horizon: overflow
-        assert wheel.pop() == (1e6, "only")
-        # the cursor jumped straight to the event's bucket
-        assert wheel.cursor >= int(1e6 / 64.0)
+        # the only event lies far past the horizon: the cursor jumps to
+        # its bucket, and schedules made there land relative to it
+        def run(sim):
+            order = []
+
+            def far(t, _a):
+                order.append(("far", t))
+                sim.schedule1(t + 64.0 * 300, lambda tt, a: order.append(
+                    ("after", tt)), None)
+                sim.schedule1(t + 10.0, lambda tt, a: order.append(
+                    ("soon", tt)), None)
+
+            sim.schedule1(1e6, far, None)
+            sim.run()
+            return order
+
+        got = run(WheelSimulator(width_us=64.0, n_buckets=256))
+        assert got == run(HeapSimulator())
+        assert got == [("far", 1e6), ("soon", 1e6 + 10.0),
+                       ("after", 1e6 + 64.0 * 300)]
 
     def test_fifo_ties_survive_overflow_migration(self):
-        wheel = EventWheel(width_us=64.0, n_buckets=256)
         far = 64.0 * 256 * 2 + 3.0
-        for i in range(6):
-            wheel.push((far, i))
-        assert [wheel.pop()[1] for _ in range(6)] == list(range(6))
+        got = _wheel_and_heap([(far, i) for i in range(6)],
+                              width_us=64.0, n_buckets=256)
+        assert [tag for _t, tag in got] == list(range(6))
 
     def test_geometry_must_be_powers_of_two(self):
         with pytest.raises(ValueError):
-            EventWheel(width_us=64.0, n_buckets=100)
+            WheelSimulator(width_us=64.0, n_buckets=100)
         with pytest.raises(ValueError):
             # 1/49 is not exactly invertible, so bucket indices would
             # drift from the quantization the drain assertions assume
-            EventWheel(width_us=49.0, n_buckets=256)
-
-    def test_keyed_mode_matches_a_heap(self):
-        rng = random.Random(42)
-        wheel = EventWheel(width_us=64.0, n_buckets=256, fifo=False)
-        heap = []
-        used = set()
-        last_pop = 0.0  # pushes never go behind the drain point
-        for _ in range(400):
-            if heap and rng.random() < 0.4:
-                got = wheel.pop()
-                assert got == heapq.heappop(heap)
-                last_pop = got[0]
-                continue
-            t = last_pop + rng.randrange(0, 60000) / 4.0
-            key = (t, rng.randrange(1 << 20))
-            if key in used:  # keyed mode requires unique (time, id)
-                continue
-            used.add(key)
-            entry = (key[0], key[1], "payload")
-            wheel.push(entry)
-            heapq.heappush(heap, entry)
-        while heap:
-            assert wheel.pop() == heapq.heappop(heap)
-        assert wheel.pop() is None
+            WheelSimulator(width_us=49.0, n_buckets=256)
 
 
 class TestSanitizerInvariants:
@@ -216,14 +215,6 @@ class TestSanitizerInvariants:
         # both impls fire the invalid past event before moving on
         assert seen.index("past") < seen.index("later")
         assert seen[0] == "boot"
-
-    def test_wheel_push_into_past_bucket_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        wheel = EventWheel(width_us=64.0, n_buckets=256)
-        wheel.push((1000.0, "a"))
-        assert wheel.pop() == (1000.0, "a")
-        with pytest.raises(SanitizerError):
-            wheel.push((10.0, "stale"))  # bucket far behind the cursor
 
     def test_bucket_rotation_invariant_holds_over_a_storm(self,
                                                           monkeypatch):
@@ -382,11 +373,10 @@ class TestBoundaryTimestamps:
             assert sorted(tags) == ["boot", "later", "peer", "stale"]
 
     def test_exact_horizon_event_is_overflow_then_migrates(self):
-        wheel = EventWheel(width_us=self.WIDTH, n_buckets=512)
-        wheel.push((0.0, "now"))
-        wheel.push((self.HORIZON, "at-horizon"))      # first overflow slot
-        wheel.push((self.HORIZON - self.WIDTH, "last-bucket"))
-        assert len(wheel.overflow) == 1  # only the at-horizon entry
-        assert [wheel.pop()[1] for _ in range(3)] \
+        # an event exactly one horizon ahead is the first overflow
+        # slot; it must still fire after the wheel's last bucket
+        got = _wheel_and_heap([(0.0, "now"), (self.HORIZON, "at-horizon"),
+                               (self.HORIZON - self.WIDTH, "last-bucket")],
+                              width_us=self.WIDTH, n_buckets=512)
+        assert [tag for _t, tag in got] \
             == ["now", "last-bucket", "at-horizon"]
-        assert wheel.pop() is None

@@ -326,6 +326,26 @@ class TestHealthCheckedFailover:
                               shard=0, zones=zones)
         return sim
 
+    @pytest.mark.parametrize("balancer", BALANCERS)
+    def test_without_faults_health_checks_change_no_route(self, balancer):
+        """Nothing is ejected without faults, so the routable set stays
+        the active prefix - also while autoscaling moves it - and every
+        balancer routes exactly as with health checks off."""
+        shape = TrafficShape(base_qps=60_000.0, diurnal_amplitude=0.6,
+                             diurnal_period_us=HORIZON)
+
+        def run(health_check):
+            return run_fleet(shape, HORIZON, graph="fleet_rpu",
+                             fleet=FleetConfig(replicas=4,
+                                               balancer=balancer,
+                                               autoscale=True,
+                                               health_check=health_check),
+                             shards=1, seed=6, jobs=1)
+
+        plain = run(False)
+        assert plain.scale_ups > 0 and plain.scale_downs > 0
+        assert run(True) == plain
+
     def test_streak_ejects_at_threshold_and_extends_to_outage_end(self):
         sim = self._sim()
         rs = next(iter(sim.replica_sets.values()))

@@ -32,9 +32,9 @@ def sanitized(monkeypatch):
 
 class TestNoFaultParity:
     def test_matches_plain_pipeline_exactly(self):
-        """With no faults and no policy, the resilient runner must
-        reproduce ``run_end_to_end`` - same RNG draw order, same
-        latencies to the bit."""
+        """With no faults and no policy, the resilient runner is the
+        plain User path: ``run_end_to_end`` reports its numbers to the
+        bit (the mean sums latencies in resolution order)."""
         for cfg, qps in ((CPU, 6000.0), (RPU, 30000.0)):
             plain = run_end_to_end(cfg, qps, n_requests=600, seed=3)
             res = run_resilient(cfg, ResilienceConfig(), None, qps=qps,
@@ -42,10 +42,7 @@ class TestNoFaultParity:
             assert res.completed == plain.completed == 600
             assert res.p50_us == plain.p50_us
             assert res.p99_us == plain.p99_us
-            # the mean sums the same latencies in resolution order
-            # rather than completion order: equal to the last ulp only
-            assert res.avg_latency_us == pytest.approx(
-                plain.avg_latency_us, rel=1e-12)
+            assert res.avg_latency_us == plain.avg_latency_us
 
     def test_no_fault_no_policy_is_lossless(self):
         res = run_resilient(RPU, ResilienceConfig(), None, qps=30000,

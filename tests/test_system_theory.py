@@ -7,6 +7,9 @@ FCFS station:
 * M/D/1 - one unbatched server, deterministic service ``D``, Poisson
   arrivals at rate ``rho / D``: the mean wait in queue is
   Pollaczek-Khinchine's ``rho * D / (2 * (1 - rho))``;
+* M/D/c - ``c`` unbatched servers: the Kiefer-Wolfowitz FCFS
+  recursion is an independent sample-path reference, so per-job
+  latencies must match it exactly, not only in the mean;
 * M/D/inf - an ``infinite=True`` station never queues, so every job
   completes exactly its service time after it arrives.
 
@@ -59,6 +62,32 @@ def test_md1_mean_wait_matches_pollaczek_khinchine(rho, tol):
     mean_wait = sum(j.latency_us for j in jobs) / N_JOBS - SERVICE_US
     pk = rho * SERVICE_US / (2 * (1 - rho))
     assert mean_wait == pytest.approx(pk, rel=tol)
+
+
+def _kiefer_wolfowitz(arrivals, service_us, servers):
+    """FCFS latencies of ``servers`` deterministic servers by the
+    Kiefer-Wolfowitz recursion, kept in absolute server-free times:
+    ``free`` is the sorted vector of when each server next frees up.
+    Each arrival (in time order) takes the earliest-free server,
+    waiting for it if it is still busy."""
+    free = [0.0] * servers
+    latencies = []
+    for a in arrivals:
+        done = max(a, free[0]) + service_us
+        free[0] = done
+        free.sort()
+        latencies.append(done - a)
+    return latencies
+
+
+def test_mdc_latencies_match_kiefer_wolfowitz_exactly():
+    c = 3
+    station = Station(Simulator(), "md3", latency_us=SERVICE_US, servers=c)
+    # rho = 0.9 per server: most jobs queue behind busy servers
+    jobs = _poisson_latencies(station, 0.9 * c / SERVICE_US, 20_000, SEED)
+    ref = _kiefer_wolfowitz([j.arrival_us for j in jobs], SERVICE_US, c)
+    assert [j.latency_us for j in jobs] == ref
+    assert sum(lat > SERVICE_US for lat in ref) > len(ref) // 2
 
 
 def test_infinite_station_latency_is_exactly_the_service_time():
